@@ -38,8 +38,6 @@ from .visibility import (
     ObstacleScene,
     PathResult,
     PreparedScene,
-    VisibilityGraph,
-    build_visibility_graph,
     shortest_path,
     shortest_path_confined,
 )

@@ -25,6 +25,7 @@ from .constructions import (
     CombSpec,
     SegmentFamilySpec,
     SpiralSpec,
+    StripsReport,
     build_strips,
     clipped_family_scene,
     comb_divergence,
@@ -95,6 +96,19 @@ def _emit(text: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _verdict(ok: bool) -> int:
+    print(f"verdict {'PASS' if ok else 'FAIL'}")
+    return EXIT_OK if ok else EXIT_VIOLATION
+
+
+def _strips(args) -> StripsReport:
+    return build_strips(
+        SegmentFamilySpec(args.levels),
+        coils=args.coils,
+        samples_per_coil=args.samples_per_coil,
+    )
+
+
 def _cfg_from(scene: Scene | None, args) -> MetricConfig:
     cfg = scene.config if scene else MetricConfig()
     updates = {}
@@ -161,11 +175,7 @@ def _gen_scene(args) -> Scene:
             },
         )
     if args.kind == "strips":
-        report = build_strips(
-            SegmentFamilySpec(args.levels),
-            coils=args.coils,
-            samples_per_coil=args.samples_per_coil,
-        )
+        report = _strips(args)
         segs = tuple(s for t in report.trapezia for s in t.sides())
         return Scene(
             segments=segs,
@@ -206,7 +216,9 @@ def cmd_dist(args) -> int:
     q = _named_point(scene, args.q)
     if scene.segments:
         engine = PreparedScene(scene.obstacle_scene())
-        res = engine.shortest_path(p, q)
+        res = engine.shortest_path(
+            p, q, hint_a=scene.hints.get(args.p), hint_b=scene.hints.get(args.q)
+        )
         if not res.reached:
             print("value inf")
             return EXIT_UNREACHABLE
@@ -312,8 +324,7 @@ def cmd_check(args) -> int:
         print(f"symmetry_violations {len(rep.symmetry_violations)}")
         print(f"triangle_violations {len(rep.triangle_violations)}")
         print(f"identity_violations {len(rep.identity_violations)}")
-        print(f"verdict {'PASS' if rep.ok else 'FAIL'}")
-        return EXIT_OK if rep.ok else EXIT_VIOLATION
+        return _verdict(rep.ok)
 
     if args.what == "geodesic":
         names = sorted(scene.points)
@@ -338,16 +349,15 @@ def cmd_check(args) -> int:
         print(f"max_deviation {fmt12(gc.max_deviation)}")
         print(f"one_sided_max {fmt12(gc.one_sided_max)}")
         ok = gc.max_deviation <= tol and gc.one_sided_max <= args.one_sided_tol
-        print(f"verdict {'PASS' if ok else 'FAIL'}")
-        return EXIT_OK if ok else EXIT_VIOLATION
+        return _verdict(ok)
 
     if args.what in ("convexity", "circ"):
         samples = boundary_arc_points(domain, args.samples)
         if args.what == "convexity":
-            rep = check_strict_convexity(domain, samples, args.eta, cfg)
+            rep = check_strict_convexity(domain, samples, args.eta)
             ok, witnesses = rep.strictly_convex, rep.witnesses
         else:
-            ok, witnesses = check_property_circ(domain, samples, args.eta, cfg)
+            ok, witnesses = check_property_circ(domain, samples, args.eta)
         print(f"samples {len(samples)} eta {fmt12(args.eta)}")
         print(f"witnesses {len(witnesses)}")
         for i, j, where, clear in witnesses[:5]:
@@ -355,8 +365,7 @@ def cmd_check(args) -> int:
                 f"witness pair ({i},{j}) touches near "
                 f"({fmt12(where.x)}, {fmt12(where.y)}) clearance {fmt12(clear)}"
             )
-        print(f"verdict {'PASS' if ok else 'FAIL'}")
-        return EXIT_OK if ok else EXIT_VIOLATION
+        return _verdict(ok)
 
     if args.what == "ambient":
         names = selected
@@ -369,12 +378,11 @@ def cmd_check(args) -> int:
             for j in range(i + 1, len(pts))
         ]
         tol = args.tol if args.tol is not None else 1e-9
-        gap = check_rho_equals_ambient(domain, pairs, cfg, tol)
+        gap = check_rho_equals_ambient(domain, pairs)
         print(f"pairs {len(pairs)}")
         print(f"max_gap {fmt12(gap)}")
         ok = gap <= tol
-        print(f"verdict {'PASS' if ok else 'FAIL'}")
-        return EXIT_OK if ok else EXIT_VIOLATION
+        return _verdict(ok)
 
     raise SceneInvalid(f"unknown check {args.what!r}")
 
@@ -396,15 +404,13 @@ def cmd_repro(args) -> int:
             )
         except NotReachedWithinBound as exc:
             print(f"search failed: {exc}")
-            print("verdict FAIL")
-            return EXIT_VIOLATION
+            return _verdict(False)
         print("coils length")
         for m, length in trace:
             print(f"{m} {fmt12(length)}")
         print(f"min_coils {coils}")
         print(f"threshold {fmt12(args.threshold)}")
-        print("verdict PASS")
-        return EXIT_OK
+        return _verdict(True)
 
     if args.target == "bound":
         spec = SegmentFamilySpec(args.levels)
@@ -415,16 +421,14 @@ def cmd_repro(args) -> int:
             raise
         except GeometryError as exc:
             print(f"bound violated: {exc}")
-            print("verdict FAIL")
-            return EXIT_VIOLATION
+            return _verdict(False)
         _, control = verify_length_bound(spec, include_obstacles=False)
         print(f"levels {args.levels}")
         print(f"length {fmt12(length)}")
         print(f"floor {fmt12(floor)}")
         print(f"control {fmt12(control)}")
         ok = length >= floor and control < 2.1
-        print(f"verdict {'PASS' if ok else 'FAIL'}")
-        return EXIT_OK if ok else EXIT_VIOLATION
+        return _verdict(ok)
 
     if args.target == "defect":
         rep = triangle_defect_report(args.levels)
@@ -434,8 +438,7 @@ def cmd_repro(args) -> int:
         print(f"projected_lower_bound {fmt12(rep.projected_lower_bound)}")
         print(f"legs_total {fmt12(rep.legs_total)}")
         print(f"escape_length {fmt12(rep.escape_length)}")
-        print(f"verdict {'PASS' if rep.defect_confirmed else 'FAIL'}")
-        return EXIT_OK if rep.defect_confirmed else EXIT_VIOLATION
+        return _verdict(rep.defect_confirmed)
 
     if args.target == "comb":
         depths = [int(d) for d in args.depths.split(",") if d]
@@ -443,15 +446,10 @@ def cmd_repro(args) -> int:
         print("depth distance")
         for n, v in div.values:
             print(f"{n} {fmt12(v)}")
-        print(f"verdict {'PASS' if div.strictly_increasing else 'FAIL'}")
-        return EXIT_OK if div.strictly_increasing else EXIT_VIOLATION
+        return _verdict(div.strictly_increasing)
 
     if args.target == "detour":
-        report = build_strips(
-            SegmentFamilySpec(args.levels),
-            coils=args.coils,
-            samples_per_coil=args.samples_per_coil,
-        )
+        report = _strips(args)
         worst = max(
             max_corner_detour_ratio(t, args.samples) for t in report.trapezia
         )
@@ -461,15 +459,10 @@ def cmd_repro(args) -> int:
         print(f"ratio_bound {fmt12(2.5)}")
         print(f"constant_check {'PASS' if const_ok else 'FAIL'}")
         ok = worst <= 2.5 and const_ok
-        print(f"verdict {'PASS' if ok else 'FAIL'}")
-        return EXIT_OK if ok else EXIT_VIOLATION
+        return _verdict(ok)
 
     if args.target == "strips":
-        report = build_strips(
-            SegmentFamilySpec(args.levels),
-            coils=args.coils,
-            samples_per_coil=args.samples_per_coil,
-        )
+        report = _strips(args)
         print(f"strips {len(report.strips)}")
         print(f"min_distance {fmt12(report.min_distance)}")
         if report.closest_pair:
@@ -478,8 +471,7 @@ def cmd_repro(args) -> int:
         print(f"ray_residual {fmt12(report.ray_residual)}")
         print(f"fallback_pairs {report.fallback_pairs}")
         ok = report.disjoint and report.ray_residual <= 1e-9
-        print(f"verdict {'PASS' if ok else 'FAIL'}")
-        return EXIT_OK if ok else EXIT_VIOLATION
+        return _verdict(ok)
 
     raise SceneInvalid(f"unknown repro target {args.target!r}")
 
@@ -494,11 +486,12 @@ def cmd_compare(args) -> int:
     scene_b = load_scene(args.scene_b)
     if scene_a.domain is None or scene_b.domain is None:
         raise SceneInvalid("compare needs two scenes with domains")
-    cfg = _cfg_from(scene_a, args)
+    # profiles use the closure evaluation; the config flags are only validated
+    _cfg_from(scene_a, args)
     tol = args.tol if args.tol is not None else 1e-9
-    prof_a = boundary_profile(scene_a.domain, args.samples, cfg)
-    prof_b = boundary_profile(scene_b.domain, args.samples, cfg)
-    align = compare_profiles(prof_a, prof_b, tol)
+    prof_a = boundary_profile(scene_a.domain, args.samples)
+    prof_b = boundary_profile(scene_b.domain, args.samples)
+    align = compare_profiles(prof_a, prof_b)
     print(f"samples {args.samples}")
     print(f"alignment shift {align.shift} reflected "
           f"{'true' if align.reflected else 'false'}")
@@ -513,7 +506,7 @@ def cmd_compare(args) -> int:
         print(f"congruent {'true' if congruent else 'false'}")
     if args.eta is not None:
         rep = convexity_transfer_test(
-            scene_a.domain, scene_b.domain, args.samples, args.eta, cfg, tol
+            scene_a.domain, scene_b.domain, args.samples, args.eta, tol
         )
         print(f"transfer applicable {'true' if rep.applicable else 'false'}")
         print(f"transfer agrees {'true' if rep.agrees else 'false'}")
@@ -539,8 +532,7 @@ def cmd_compare(args) -> int:
         Path(args.svg).write_text(render_svg(fig, extra_points=extra))
         print(f"wrote {args.svg}")
     ok = isometric and congruent
-    print(f"verdict {'PASS' if ok else 'FAIL'}")
-    return EXIT_OK if ok else EXIT_VIOLATION
+    return _verdict(ok)
 
 
 # ---------------------------------------------------------------------------
@@ -556,6 +548,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--offsets", help="comma-separated inward offsets")
         p.add_argument("--extrapolation", choices=sorted(EXTRAPOLATIONS))
 
+    def add_samples_per_coil(p, default):
+        p.add_argument(
+            "--samples-per-coil", type=int, default=default, dest="samples_per_coil"
+        )
+
     g = sub.add_parser("gen", help="generate a construction scene")
     gs = g.add_subparsers(dest="kind", required=True, parser_class=_Parser)
     g_comb = gs.add_parser("comb", help="comb domain")
@@ -567,15 +564,11 @@ def build_parser() -> argparse.ArgumentParser:
     g_spiral.add_argument("--radius", type=float, default=1.0)
     g_spiral.add_argument("--coils", type=int, default=2)
     g_spiral.add_argument("--pitch", type=float, default=1e-3)
-    g_spiral.add_argument(
-        "--samples-per-coil", type=int, default=64, dest="samples_per_coil"
-    )
+    add_samples_per_coil(g_spiral, 64)
     g_strips = gs.add_parser("strips", help="ruled strips, meridian footprints")
     g_strips.add_argument("--levels", type=int, default=2)
     g_strips.add_argument("--coils", type=int, default=2)
-    g_strips.add_argument(
-        "--samples-per-coil", type=int, default=24, dest="samples_per_coil"
-    )
+    add_samples_per_coil(g_strips, 24)
     for p in (g_comb, g_family, g_spiral, g_strips):
         p.add_argument("--out", help="write the scene file here (default stdout)")
         p.add_argument("--svg", help="also render an SVG figure")
@@ -619,9 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
     r_lab.add_argument("--pitch", type=float, default=1e-3)
     r_lab.add_argument("--threshold", type=float, default=10.0)
     r_lab.add_argument("--m-max", type=int, default=16, dest="m_max")
-    r_lab.add_argument(
-        "--samples-per-coil", type=int, default=64, dest="samples_per_coil"
-    )
+    add_samples_per_coil(r_lab, 64)
     r_bound = rs.add_parser("bound", help="confined length bound for the family")
     r_bound.add_argument("--levels", type=int, default=2)
     r_bound.add_argument("--tol-floor", type=float, default=0.01, dest="tol_floor")
@@ -633,15 +624,11 @@ def build_parser() -> argparse.ArgumentParser:
     r_detour.add_argument("--levels", type=int, default=2)
     r_detour.add_argument("--samples", type=int, default=1024)
     r_detour.add_argument("--coils", type=int, default=2)
-    r_detour.add_argument(
-        "--samples-per-coil", type=int, default=24, dest="samples_per_coil"
-    )
+    add_samples_per_coil(r_detour, 24)
     r_strips = rs.add_parser("strips", help="strip disjointness certificate")
     r_strips.add_argument("--levels", type=int, default=3)
     r_strips.add_argument("--coils", type=int, default=2)
-    r_strips.add_argument(
-        "--samples-per-coil", type=int, default=24, dest="samples_per_coil"
-    )
+    add_samples_per_coil(r_strips, 24)
     for p in (r_lab, r_bound, r_defect, r_comb, r_detour, r_strips):
         p.set_defaults(func=cmd_repro)
 

@@ -234,7 +234,6 @@ def clipped_family_scene(
 
 def verify_length_bound(
     spec: SegmentFamilySpec,
-    cfg: MetricConfig | None = None,
     include_obstacles: bool = True,
     tol_floor: float = 0.01,
     m_circle: int = 256,
@@ -853,9 +852,7 @@ class TriangleDefectReport:
     defect_confirmed: bool
 
 
-def triangle_defect_report(
-    levels: int = 2, cfg: MetricConfig | None = None
-) -> TriangleDefectReport:
+def triangle_defect_report(levels: int = 2) -> TriangleDefectReport:
     """Assemble the length chain that breaks the triangle inequality in the
     limit construction.
 
@@ -868,7 +865,7 @@ def triangle_defect_report(
     """
     if levels not in (2, 3):
         raise SpecInvalid("defect report is defined for levels 2 or 3")
-    _, confined = verify_length_bound(SegmentFamilySpec(levels), cfg)
+    _, confined = verify_length_bound(SegmentFamilySpec(levels))
     projected = 0.4 * confined
     legs = (1.0, 1.0)
     report = TriangleDefectReport(

@@ -15,6 +15,8 @@ from typing import Iterable, Sequence
 from .errors import DomainInvalid, MissingHint, OffsetFailed
 
 EPS_GEOM = 1e-9
+ANG_TOL = 1e-9
+TWO_PI = 2.0 * math.pi
 
 Hint = str  # "left" | "right"
 
@@ -488,22 +490,68 @@ def contains(domain: PlanarDomain, p: Point2, eps: float = EPS_GEOM) -> Region:
     return Region.INTERIOR
 
 
-def _blocked_rays(domain: PlanarDomain, p: Point2, eps: float) -> list[Point2]:
-    """Unit directions along boundary features meeting p (both ways for
-    features whose interior passes through p)."""
-    rays: list[Point2] = []
-    for f in domain.boundary_features():
-        da = p.distance_to(f.a)
-        db = p.distance_to(f.b)
-        if da <= eps:
-            rays.append((f.b - f.a).unit())
-        elif db <= eps:
-            rays.append((f.a - f.b).unit())
+def wedges_from_rays(angles: Iterable[float]) -> list[tuple[float, float]]:
+    """Angular wedges (start, span) between consecutive blocked directions,
+    with starts in [0, 2*pi) in increasing order.
+
+    Zero or one blocked ray leaves the full turn as a single wedge, so the
+    point needs no splitting.
+    """
+    uniq: list[float] = []
+    for a in sorted(a % TWO_PI for a in angles):
+        if not uniq or a - uniq[-1] > ANG_TOL:
+            uniq.append(a)
+    if len(uniq) >= 2 and (uniq[0] + TWO_PI) - uniq[-1] <= ANG_TOL:
+        uniq.pop()
+    if not uniq:
+        return [(0.0, TWO_PI)]
+    if len(uniq) == 1:
+        return [(uniq[0], TWO_PI)]
+    out = []
+    for i, a in enumerate(uniq):
+        nxt = uniq[(i + 1) % len(uniq)]
+        span = (nxt - a) % TWO_PI
+        if span > ANG_TOL:
+            out.append((a, span))
+    return out
+
+
+def _in_wedge(theta: float, wedge: tuple[float, float]) -> bool:
+    d = (theta - wedge[0]) % TWO_PI
+    return d <= wedge[1] + ANG_TOL or d >= TWO_PI - ANG_TOL
+
+
+def blocked_rays(
+    features: Iterable[Segment2], p: Point2, eps: float = EPS_GEOM
+) -> tuple[list[float], Segment2 | None]:
+    """Angles of the feature directions leaving p (both ways for a feature
+    whose interior passes through p), plus the first such feature."""
+    rays: list[float] = []
+    host: Segment2 | None = None
+    for f in features:
+        d = f.direction()
+        if p.distance_to(f.a) <= eps:
+            rays.append(math.atan2(d.y, d.x))
+        elif p.distance_to(f.b) <= eps:
+            rays.append(math.atan2(-d.y, -d.x))
         elif point_segment_distance(p, f.a, f.b) <= eps:
-            d = (f.b - f.a).unit()
-            rays.append(d)
-            rays.append(Point2(-d.x, -d.y))
-    return rays
+            th = math.atan2(d.y, d.x)
+            rays.append(th)
+            rays.append(th + math.pi)
+            if host is None:
+                host = f
+    return rays, host
+
+
+def _hint_angle(wall: Segment2, hint: Hint) -> float:
+    """Direction of the wall's normal on the hinted side ("left" or "right"
+    of its stored a->b direction)."""
+    n = wall.direction().perp()
+    if hint == "right":
+        n = Point2(-n.x, -n.y)
+    elif hint != "left":
+        raise MissingHint(f"unknown hint {hint!r}; expected 'left' or 'right'")
+    return math.atan2(n.y, n.x)
 
 
 def _slit_at(domain: PlanarDomain, p: Point2, eps: float) -> tuple[Segment2 | None, bool]:
@@ -517,27 +565,9 @@ def _slit_at(domain: PlanarDomain, p: Point2, eps: float) -> tuple[Segment2 | No
 
 def free_wedges(domain: PlanarDomain, p: Point2, eps: float = EPS_GEOM) -> list[tuple[float, float]]:
     """Angular intervals (start, span) of directions not blocked at boundary
-    point p, sorted by start angle.  An unconstrained point yields one full
-    turn."""
-    rays = _blocked_rays(domain, p, eps)
-    angles = sorted({math.atan2(r.y, r.x) for r in rays})
-    merged: list[float] = []
-    for a in angles:
-        if not merged or a - merged[-1] > 1e-9:
-            merged.append(a)
-    if len(merged) >= 2 and (merged[0] + 2 * math.pi) - merged[-1] <= 1e-9:
-        merged.pop()
-    if not merged:
-        return [(0.0, 2 * math.pi)]
-    if len(merged) == 1:
-        return [(merged[0], 2 * math.pi)]
-    out = []
-    for i, a in enumerate(merged):
-        nxt = merged[(i + 1) % len(merged)]
-        span = (nxt - a) % (2 * math.pi)
-        if span > 1e-9:
-            out.append((a, span))
-    return out
+    point p, starts in [0, 2*pi) in increasing order.  An unconstrained
+    point yields one full turn."""
+    return wedges_from_rays(blocked_rays(domain.boundary_features(), p, eps)[0])
 
 
 def inward_offset(
@@ -561,23 +591,9 @@ def inward_offset(
     if not wedges:
         raise OffsetFailed(f"no free direction at ({p.x}, {p.y})")
 
-    preferred: float | None = None
     if hint is not None and slit is not None:
-        n = slit.direction().perp()
-        if hint == "right":
-            n = Point2(-n.x, -n.y)
-        elif hint != "left":
-            raise MissingHint(f"unknown hint {hint!r}; expected 'left' or 'right'")
-        preferred = math.atan2(n.y, n.x)
-
-    def wedge_contains(w: tuple[float, float], theta: float) -> bool:
-        return (theta - w[0]) % (2 * math.pi) <= w[1] + 1e-9
-
-    candidates: list[float] = []
-    if preferred is not None:
-        for w in wedges:
-            if wedge_contains(w, preferred):
-                candidates.append(w[0] + 0.5 * w[1])
+        preferred = _hint_angle(slit, hint)
+        candidates = [w[0] + 0.5 * w[1] for w in wedges if _in_wedge(preferred, w)]
         if not candidates:
             candidates.append(preferred)
     else:

@@ -74,17 +74,8 @@ class GeodesicCheck:
 
 
 @lru_cache(maxsize=32)
-def _scene_of(domain: PlanarDomain) -> ObstacleScene:
-    return ObstacleScene.from_domain(domain)
-
-
-@lru_cache(maxsize=32)
-def _engine_of(scene: ObstacleScene) -> PreparedScene:
-    return PreparedScene(scene)
-
-
 def _engine(domain: PlanarDomain) -> PreparedScene:
-    return _engine_of(_scene_of(domain))
+    return PreparedScene(ObstacleScene.from_domain(domain))
 
 
 def closure_distance(
@@ -389,12 +380,10 @@ def check_strict_convexity(
     domain: PlanarDomain,
     boundary_samples: Sequence[Point2],
     eta: float,
-    cfg: MetricConfig | None = None,
 ) -> ConvexityReport:
     """Every sample pair's geodesic must stay clear of the boundary except
     within eta of its endpoints.  The verdict is relative to the sampling
     resolution; polygonal domains legitimately fail on same-edge pairs."""
-    cfg = cfg or MetricConfig()
     engine = _engine(domain)
     witnesses = []
     for i in range(len(boundary_samples)):
@@ -415,21 +404,18 @@ def check_property_circ(
     domain: PlanarDomain,
     boundary_samples: Sequence[Point2],
     eta: float,
-    cfg: MetricConfig | None = None,
 ) -> tuple[bool, tuple[tuple[int, int, Point2, float], ...]]:
     """Strict-convexity test restricted to boundary point pairs."""
     for p in boundary_samples:
         if contains(domain, p) is not Region.BOUNDARY:
             raise SpecInvalid(f"sample ({p.x}, {p.y}) is not a boundary point")
-    report = check_strict_convexity(domain, boundary_samples, eta, cfg)
+    report = check_strict_convexity(domain, boundary_samples, eta)
     return report.strictly_convex, report.witnesses
 
 
 def check_rho_equals_ambient(
     domain: PlanarDomain,
     pairs: Sequence[tuple[Point2, Point2]],
-    cfg: MetricConfig | None = None,
-    tol: float = 1e-9,
 ) -> float:
     """Max over pairs of |relative distance - Euclidean distance|.
 

@@ -25,7 +25,6 @@ from .errors import (
 from .geom import PlanarDomain, Point2
 from .metric import (
     ConvexityReport,
-    MetricConfig,
     _engine,
     check_strict_convexity,
 )
@@ -134,9 +133,7 @@ def domain_digest(domain: PlanarDomain) -> str:
     return h.hexdigest()[:16]
 
 
-def boundary_profile(
-    domain: PlanarDomain, m: int, cfg: MetricConfig | None = None
-) -> BoundaryProfile:
+def boundary_profile(domain: PlanarDomain, m: int) -> BoundaryProfile:
     """Sample the outer boundary at m points whose consecutive boundary
     distances agree within 1%, anchored at the first polygon vertex, and
     record the full pairwise distance matrix.
@@ -200,9 +197,7 @@ def boundary_profile(
     return BoundaryProfile(tuple(samples), M, domain_digest(domain))
 
 
-def compare_profiles(
-    p1: BoundaryProfile, p2: BoundaryProfile, tol: float = 1e-9
-) -> AlignmentResult:
+def compare_profiles(p1: BoundaryProfile, p2: BoundaryProfile) -> AlignmentResult:
     """Best alignment of the two sample loops over all rotations and
     reflections of the index circle; residual is the largest entrywise
     distance mismatch at that alignment."""
@@ -257,7 +252,6 @@ def convexity_transfer_test(
     second: PlanarDomain,
     m: int,
     eta: float,
-    cfg: MetricConfig | None = None,
     tol: float = 1e-9,
 ) -> TransferReport:
     """If the first domain is strictly convex at resolution (m, eta) and the
@@ -268,14 +262,12 @@ def convexity_transfer_test(
     declared a counterexample: at polygonal resolution the convexity verdict
     depends on the sampling, so the flag means "re-run finer", not "found".
     """
-    prof1 = boundary_profile(first, m, cfg)
-    prof2 = boundary_profile(second, m, cfg)
-    conv1: ConvexityReport = check_strict_convexity(
-        first, list(prof1.samples), eta, cfg
-    )
-    align = compare_profiles(prof1, prof2, tol)
+    prof1 = boundary_profile(first, m)
+    prof2 = boundary_profile(second, m)
+    conv1: ConvexityReport = check_strict_convexity(first, list(prof1.samples), eta)
+    align = compare_profiles(prof1, prof2)
     applicable = conv1.strictly_convex and align.residual <= tol
-    conv2 = check_strict_convexity(second, list(prof2.samples), eta, cfg)
+    conv2 = check_strict_convexity(second, list(prof2.samples), eta)
     falsification = applicable and not conv2.strictly_convex
     if falsification:
         note = (

@@ -1,14 +1,10 @@
-"""Shortest paths amid segment obstacles via visibility graphs.
+"""Shortest paths amid segment obstacles.
 
-Two engines live here.  :func:`build_visibility_graph` is the plain textbook
-construction (edge iff the open segment crosses no obstacle and stays in the
-allowed region); it is eager, easy to inspect, and used by the contract tests
-and the CLI.  :class:`PreparedScene` is the production engine used by the
-metric layer: it runs Dijkstra lazily from the source, splits nodes that sit
-on obstacle junctions into angular wedge copies, and rejects candidate edges
-that pass through another node, so that walls made of chained segments are
-genuinely impassable at their joints while still allowing paths to ride along
-walls.  Both agree on scenes without junctions.
+:class:`PreparedScene` runs Dijkstra lazily from the source, splits nodes
+that sit on obstacle junctions into angular wedge copies, and rejects
+candidate edges that pass through another node, so that walls made of
+chained segments are genuinely impassable at their joints while still
+allowing paths to ride along walls.
 """
 from __future__ import annotations
 
@@ -21,20 +17,24 @@ import numpy as np
 from . import _batch
 from .errors import MissingHint, SceneInvalid, TerminalInsideFloor
 from .geom import (
+    ANG_TOL,
     EPS_GEOM,
+    TWO_PI,
     PlanarDomain,
     Point2,
     Polyline,
     Region,
     Segment2,
+    _hint_angle,
+    _in_wedge,
+    blocked_rays,
     collinear_overlap,
     contains,
     properly_cross,
+    wedges_from_rays,
 )
 
-ANG_TOL = 1e-9
 PROBE_DELTA = 1e-7
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -59,13 +59,11 @@ class ObstacleScene:
             A = np.array([s.a.as_tuple() for s in segs])
             B = np.array([s.b.as_tuple() for s in segs])
             for i in range(n - 1):
-                Q = B[i + 1 :]
                 crossing = _batch.cross_matrix(A[i], np.array([B[i]]), A[i + 1 :], B[i + 1 :], EPS_GEOM)[0]
                 hits = np.nonzero(crossing)[0]
                 if hits.size:
                     j = int(hits[0]) + i + 1
                     raise SceneInvalid(f"obstacle segments {i} and {j} cross")
-            # collinear overlap is rare; screen candidates cheaply first
             for i in range(n - 1):
                 for j in range(i + 1, n):
                     if collinear_overlap(segs[i], segs[j]):
@@ -93,21 +91,6 @@ class ObstacleScene:
 
 
 @dataclass(frozen=True)
-class VisibilityGraph:
-    nodes: tuple[Point2, ...]
-    edges: tuple[tuple[int, int, float], ...]
-
-    def neighbors(self, i: int) -> list[tuple[int, float]]:
-        out = []
-        for u, v, w in self.edges:
-            if u == i:
-                out.append((v, w))
-            elif v == i:
-                out.append((u, w))
-        return out
-
-
-@dataclass(frozen=True)
 class PathResult:
     reached: bool
     length: float
@@ -127,36 +110,6 @@ class ConfinedPathResult:
 # ---------------------------------------------------------------------------
 # shared helpers
 # ---------------------------------------------------------------------------
-
-
-def wedges_from_rays(angles: list[float]) -> list[tuple[float, float]]:
-    """Angular wedges (start, span) between consecutive blocked directions.
-
-    Zero or one blocked ray leaves the full turn as a single wedge, so the
-    node needs no splitting.
-    """
-    uniq: list[float] = []
-    for a in sorted(a % TWO_PI for a in angles):
-        if not uniq or a - uniq[-1] > ANG_TOL:
-            uniq.append(a)
-    if len(uniq) >= 2 and (uniq[0] + TWO_PI) - uniq[-1] <= ANG_TOL:
-        uniq.pop()
-    if not uniq:
-        return [(0.0, TWO_PI)]
-    if len(uniq) == 1:
-        return [(uniq[0], TWO_PI)]
-    out = []
-    for i, a in enumerate(uniq):
-        nxt = uniq[(i + 1) % len(uniq)]
-        span = (nxt - a) % TWO_PI
-        if span > ANG_TOL:
-            out.append((a, span))
-    return out
-
-
-def _in_wedge(theta: float, wedge: tuple[float, float]) -> bool:
-    d = (theta - wedge[0]) % TWO_PI
-    return d <= wedge[1] + ANG_TOL or d >= TWO_PI - ANG_TOL
 
 
 def _ang_on(a: float, b: float) -> bool:
@@ -244,86 +197,6 @@ def _floor_radius_at(theta: float, r_min: float, m: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# eager graph (contract form)
-# ---------------------------------------------------------------------------
-
-
-def build_visibility_graph(
-    scene: ObstacleScene,
-    extra_points: tuple[Point2, ...] = (),
-) -> VisibilityGraph:
-    """Eager visibility graph over obstacle endpoints plus extra points.
-
-    Edge rule: the open segment between two nodes crosses no feature
-    transversally, and its midpoint stays in the scene's allowed region.
-    Grazing contact (riding along a wall, passing exactly through a third
-    node) does not block here; use :class:`PreparedScene` when junction
-    semantics matter.  Quadratic; intended for small scenes.
-    """
-    feats = scene.all_features()
-    pts: list[Point2] = []
-    for f in feats:
-        pts.append(f.a)
-        pts.append(f.b)
-    pts.extend(extra_points)
-    nodes, _ = _dedup_positions(pts)
-    n = len(nodes)
-    if n == 0:
-        return VisibilityGraph((), ())
-    FA = np.array([f.a.as_tuple() for f in feats]) if feats else np.zeros((0, 2))
-    FB = np.array([f.b.as_tuple() for f in feats]) if feats else np.zeros((0, 2))
-    P = np.array([p.as_tuple() for p in nodes])
-    edges: list[tuple[int, int, float]] = []
-    for i in range(n - 1):
-        Q = P[i + 1 :]
-        if len(feats):
-            blocked = _batch.cross_matrix(P[i], Q, FA, FB, EPS_GEOM).any(axis=1)
-        else:
-            blocked = np.zeros(len(Q), dtype=bool)
-        mids = 0.5 * (P[i][None, :] + Q)
-        allowed = _region_mask(scene.boundary, None, feats, mids)
-        for jj in np.nonzero(~blocked & allowed)[0]:
-            j = int(jj) + i + 1
-            w = nodes[i].distance_to(nodes[j])
-            if w > EPS_GEOM:
-                edges.append((i, j, w))
-    return VisibilityGraph(tuple(nodes), tuple(edges))
-
-
-def _region_mask(
-    domain: PlanarDomain | None,
-    floor: tuple[Point2, ...] | None,
-    feats: tuple[Segment2, ...],
-    pts: np.ndarray,
-) -> np.ndarray:
-    """Which of the points may lie on a path: inside the domain closure (wall
-    contact allowed) and not strictly inside the floor polygon."""
-    k = len(pts)
-    ok = np.ones(k, dtype=bool)
-    if domain is not None:
-        outer = np.array([p.as_tuple() for p in domain.outer])
-        inside = _batch.points_in_polygon(pts, outer)
-        for hole in domain.holes:
-            hv = np.array([p.as_tuple() for p in hole])
-            inside &= ~_batch.points_in_polygon(pts, hv)
-        if len(feats):
-            FA = np.array([f.a.as_tuple() for f in feats])
-            FB = np.array([f.b.as_tuple() for f in feats])
-            on_b = _batch.point_seg_dists(pts, FA, FB).min(axis=1) <= EPS_GEOM
-        else:
-            on_b = np.zeros(k, dtype=bool)
-        ok &= inside | on_b
-    if floor is not None:
-        fv = np.array([p.as_tuple() for p in floor])
-        fa = fv
-        fb = np.roll(fv, -1, axis=0)
-        strictly_in = _batch.points_in_polygon(pts, fv)
-        on_floor = _batch.point_seg_dists(pts, fa, fb).min(axis=1) <= EPS_GEOM
-        ok &= ~(strictly_in & ~on_floor)
-    return ok
-
-
-# ---------------------------------------------------------------------------
 # lazy wedge engine
 # ---------------------------------------------------------------------------
 
@@ -353,6 +226,7 @@ class PreparedScene:
         self.scene = scene
         self.floor = floor
         feats = list(scene.all_features())
+        n_walls = len(feats)
         if floor is not None:
             fv = list(floor)
             feats.extend(Segment2(fv[i], fv[(i + 1) % len(fv)]) for i in range(len(fv)))
@@ -374,6 +248,13 @@ class PreparedScene:
             if self._n
             else np.zeros((0, 2))
         )
+        # region-mask inputs; the floor edges follow the scene's own features,
+        # and their starts are the floor polygon
+        dom = scene.boundary
+        self._outer = None if dom is None else np.array([p.as_tuple() for p in dom.outer])
+        self._holes = [] if dom is None else [np.array([p.as_tuple() for p in h]) for h in dom.holes]
+        self._walls = slice(0, n_walls)
+        self._floor_edges = slice(n_walls, len(feats))
         self._node_wedges: list[list[tuple[float, float]]] = self._compute_wedges()
         self._nbrs: dict[int, np.ndarray] = {}
 
@@ -408,6 +289,24 @@ class PreparedScene:
             out.append(wedges)
         return out
 
+    def _region_mask(self, pts: np.ndarray) -> np.ndarray:
+        """Which of the points may lie on a path: inside the domain closure
+        (wall contact allowed) and not strictly inside the floor polygon."""
+        ok = np.ones(len(pts), dtype=bool)
+        if self._outer is not None:
+            inside = _batch.points_in_polygon(pts, self._outer)
+            for hole in self._holes:
+                inside &= ~_batch.points_in_polygon(pts, hole)
+            w = self._walls
+            on_b = _batch.point_seg_dists(pts, self._FA[w], self._FB[w]).min(axis=1) <= EPS_GEOM
+            ok &= inside | on_b
+        if self.floor is not None:
+            fa, fb = self._FA[self._floor_edges], self._FB[self._floor_edges]
+            strictly_in = _batch.points_in_polygon(pts, fa)
+            on_floor = _batch.point_seg_dists(pts, fa, fb).min(axis=1) <= EPS_GEOM
+            ok &= ~(strictly_in & ~on_floor)
+        return ok
+
     def _viable_wedges(
         self, p: Point2, wedges: list[tuple[float, float]]
     ) -> list[tuple[float, float]]:
@@ -420,7 +319,7 @@ class PreparedScene:
             q = np.array(
                 [[p.x + PROBE_DELTA * math.cos(th), p.y + PROBE_DELTA * math.sin(th)]]
             )
-            if _region_mask(self.scene.boundary, self.floor, self.scene.all_features(), q)[0]:
+            if self._region_mask(q)[0]:
                 keep.append(w)
         return keep
 
@@ -456,76 +355,33 @@ class PreparedScene:
                 near[:, at_p] = False
             ok &= ~near.any(axis=1)
         if ok.any():
-            mids = 0.5 * (p[None, :] + Q)
-            region = _region_mask(
-                self.scene.boundary, self.floor, self.scene.all_features(), mids
-            )
-            ok &= region
+            ok &= self._region_mask(0.5 * (p[None, :] + Q))
         return ok
 
     def _pair_free(self, p: Point2, q: Point2) -> bool:
         """Visibility between two off-node positions (the direct a-b edge)."""
         if p.distance_to(q) <= EPS_GEOM:
             return False
-        seg = Segment2(p, q)
-        for f in self.features:
-            if properly_cross(seg, f):
-                return False
-        if self._n:
-            nd = _batch.seg_point_dists(
-                np.array(p.as_tuple()), np.array([q.as_tuple()]), self._P
-            )[0]
-            if (nd <= EPS_GEOM).any():
-                return False
-        mid = np.array([seg.midpoint().as_tuple()])
-        return bool(
-            _region_mask(self.scene.boundary, self.floor, self.scene.all_features(), mid)[0]
-        )
+        pa = np.array(p.as_tuple())
+        Q = np.array([q.as_tuple()])
+        if len(self.features) and _batch.cross_matrix(pa, Q, self._FA, self._FB, EPS_GEOM).any():
+            return False
+        if self._n and (_batch.seg_point_dists(pa, Q, self._P) <= EPS_GEOM).any():
+            return False
+        return bool(self._region_mask(0.5 * (pa[None, :] + Q))[0])
 
     # -- terminals -----------------------------------------------------------
 
-    def _terminal_rays(self, p: Point2) -> tuple[list[float], Segment2 | None]:
-        rays: list[float] = []
-        host: Segment2 | None = None
-        for f in self.features:
-            da = p.distance_to(f.a)
-            db = p.distance_to(f.b)
-            d = f.direction()
-            if da <= EPS_GEOM:
-                rays.append(math.atan2(d.y, d.x))
-            elif db <= EPS_GEOM:
-                rays.append(math.atan2(-d.y, -d.x))
-            elif _seg_dist(p, f) <= EPS_GEOM:
-                th = math.atan2(d.y, d.x)
-                rays.append(th)
-                rays.append(th + math.pi)
-                if host is None:
-                    host = f
-        return rays, host
-
     def _terminal_wedges(self, p: Point2, hint: str | None, label: str) -> list[tuple[float, float]]:
-        rays, host = self._terminal_rays(p)
+        rays, host = blocked_rays(self.features, p)
         wedges = wedges_from_rays(rays)
         if host is None or len(wedges) < 2:
             return wedges
         if hint is not None:
-            n = host.direction().perp()
-            if hint == "right":
-                n = Point2(-n.x, -n.y)
-            elif hint != "left":
-                raise MissingHint(f"unknown hint {hint!r} for terminal {label}")
-            th = math.atan2(n.y, n.x)
+            th = _hint_angle(host, hint)
             chosen = [w for w in wedges if _in_wedge(th, w)]
             return chosen or wedges
-        # no hint: keep only wedges whose probe stays in the allowed region
-        viable = []
-        for w in wedges:
-            th = w[0] + 0.5 * w[1]
-            q = np.array(
-                [[p.x + PROBE_DELTA * math.cos(th), p.y + PROBE_DELTA * math.sin(th)]]
-            )
-            if _region_mask(self.scene.boundary, self.floor, self.scene.all_features(), q)[0]:
-                viable.append(w)
+        viable = self._viable_wedges(p, wedges)
         if len(viable) == 1:
             return viable
         if len(viable) == 0:
@@ -686,12 +542,6 @@ class PreparedScene:
         return PathResult(True, poly.length(), poly)
 
 
-def _seg_dist(p: Point2, f: Segment2) -> float:
-    from .geom import point_segment_distance
-
-    return point_segment_distance(p, f.a, f.b)
-
-
 def shortest_path(
     scene: ObstacleScene,
     a: Point2,
@@ -716,8 +566,9 @@ def shortest_path_confined(
 
     The exclusion disk is realized as a circumscribed regular polygon with
     ``m_circle`` edges (tangent to the disk at angle zero), so reported
-    lengths are exact for the polygonal relaxation and can only underestimate
-    the true confined length by the chord defect, which shrinks like m^-2.
+    lengths are exact for the polygonal relaxation.  The polygon contains the
+    disk, so they can only overestimate the true confined length; the excess
+    shrinks like m^-2.
     Terminals strictly inside the disk raise; terminals inside the sliver
     between disk and polygon are snapped radially outward onto the polygon
     and the snap distances are reported.

@@ -174,6 +174,15 @@ def test_dist_slit_hint_usage(tmp_path, capsys):
     )
     path = write_scene(tmp_path, "bare.json", bare)
     assert main(["dist", path, "on", "e"]) == 1
+    # the same holds on a bare-segment scene, evaluated in place
+    wall = Segment2(P(1.0, 0.5), P(1.0, 1.5))
+    points = {"on": P(1.0, 1.0), "e": P(1.5, 1.0)}
+    hinted = Scene(segments=(wall,), points=points, hints={"on": "right"})
+    capsys.readouterr()
+    assert main(["dist", write_scene(tmp_path, "seg.json", hinted), "on", "e"]) == 0
+    assert "value 0.5" in capsys.readouterr().out
+    unhinted = Scene(segments=(wall,), points=points)
+    assert main(["dist", write_scene(tmp_path, "seg_bare.json", unhinted), "on", "e"]) == 1
 
 
 def test_dist_unreachable_exits_2(tmp_path, capsys):

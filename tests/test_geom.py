@@ -145,10 +145,15 @@ def test_contains_classification():
 # -- free wedges and offsets ------------------------------------------------
 
 
+def _starts_in_turn(wedges):
+    return all(0.0 <= start < 2 * math.pi for start, _ in wedges)
+
+
 def test_free_wedges_interior_full_turn():
     d = PlanarDomain(UNIT_SQUARE)
     w = free_wedges(d, pt(0.5, 0.5))
     assert len(w) == 1
+    assert _starts_in_turn(w)
     assert w[0][1] == pytest.approx(2 * math.pi)
 
 
@@ -167,6 +172,14 @@ def test_free_wedges_wall_and_corner():
         start == pytest.approx(0.0) and extent == pytest.approx(math.pi / 2)
         for start, extent in corner
     )
+    # the top-left corner blocks the ray at -pi/2, which starts a wedge at 3pi/2
+    top_left = free_wedges(d, pt(0.0, 1.0))
+    assert any(
+        start == pytest.approx(1.5 * math.pi) and extent == pytest.approx(math.pi / 2)
+        for start, extent in top_left
+    )
+    for w in (wall, corner, top_left, free_wedges(d, pt(0.0, 0.5))):
+        assert _starts_in_turn(w)
 
 
 def test_free_wedges_slit_point_two_sides():
@@ -174,12 +187,14 @@ def test_free_wedges_slit_point_two_sides():
     w = free_wedges(d, pt(0.5, 0.5))
     assert len(w) == 2
     assert sum(extent for _, extent in w) == pytest.approx(2 * math.pi)
+    assert _starts_in_turn(w)
 
 
 @pytest.mark.parametrize("delta", [1e-2, 1e-3, 1e-4])
 def test_inward_offset_distance_and_region(delta):
     d = PlanarDomain(UNIT_SQUARE)
-    for p in (pt(0.5, 0.0), pt(0.0, 0.0), pt(1.0, 0.37)):
+    # the left wall and the top-left corner block rays at negative angles
+    for p in (pt(0.5, 0.0), pt(0.0, 0.0), pt(1.0, 0.37), pt(0.0, 0.5), pt(0.0, 1.0)):
         q = inward_offset(d, p, delta)
         assert contains(d, q) is Region.INTERIOR
         assert p.distance_to(q) <= delta * (1 + 1e-9)

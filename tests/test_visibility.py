@@ -14,7 +14,6 @@ from relmetric.geom import PlanarDomain, Point2, Segment2
 from relmetric.visibility import (
     ObstacleScene,
     PreparedScene,
-    build_visibility_graph,
     shortest_path,
     shortest_path_confined,
 )
@@ -55,11 +54,12 @@ def test_crossing_obstacles_rejected():
 
 
 def test_visibility_graph_direct_edge():
+    # the two ends of a lone segment are joined by the segment itself
     scene = ObstacleScene(segments=(seg(0, 1, 1, 1),))
-    g = build_visibility_graph(scene)
-    pos = {p.as_tuple(): i for i, p in enumerate(g.nodes)}
-    i, j = pos[(0.0, 1.0)], pos[(1.0, 1.0)]
-    assert any({u, v} == {i, j} for u, v, _ in g.edges)
+    res = PreparedScene(scene).shortest_path(P(0, 1), P(1, 1))
+    assert res.reached
+    assert res.length == pytest.approx(1.0, abs=1e-12)
+    assert [v.as_tuple() for v in res.path.vertices] == [(0.0, 1.0), (1.0, 1.0)]
 
 
 def test_slit_blocks_straight_crossing(slit_square):
