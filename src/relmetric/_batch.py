@@ -1,4 +1,5 @@
-"""Vectorized geometry kernels shared by scene validation and visibility.
+"""Vectorized geometry kernels shared by scene validation, visibility and
+the strips disjointness certificate.
 
 All predicates mirror the scalar versions in :mod:`relmetric.geom`; the
 orientation tolerance is absolute on twice the signed area.
@@ -60,6 +61,40 @@ def seg_point_dists(p: np.ndarray, Q: np.ndarray, N: np.ndarray, chunk: int = 51
         proj = p[None, None, :] + t[..., None] * dj[:, None, :]
         out[lo:hi] = np.linalg.norm(N[None, :, :] - proj, axis=2)
     return out
+
+
+def _point_seg_pairs(P: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Distances from P[i] to segment A[i]->B[i], elementwise: (k,)."""
+    d = B - A
+    den = np.einsum("ij,ij->i", d, d)
+    den = np.where(den <= 0, 1.0, den)
+    t = np.clip(np.einsum("ij,ij->i", P - A, d) / den, 0.0, 1.0)
+    proj = A + t[:, None] * d
+    return np.hypot(P[:, 0] - proj[:, 0], P[:, 1] - proj[:, 1])
+
+
+def seg_pair_dists(A1: np.ndarray, B1: np.ndarray, A2: np.ndarray, B2: np.ndarray) -> np.ndarray:
+    """Distances between segments A1[i]->B1[i] and A2[i]->B2[i], elementwise: (k,).
+
+    Zero when a pair meets; with an exact orientation test, touching and
+    collinear pairs count as meeting.  For pairs that do not meet the minimum
+    is attained at an endpoint."""
+
+    def orient(U, V, W):
+        return _osign(U[:, 0], U[:, 1], V[:, 0], V[:, 1], W[:, 0], W[:, 1], 0.0)
+
+    meet = (orient(A1, B1, A2) * orient(A1, B1, B2) <= 0) & (
+        orient(A2, B2, A1) * orient(A2, B2, B1) <= 0
+    )
+    d = np.minimum.reduce(
+        [
+            _point_seg_pairs(A2, A1, B1),
+            _point_seg_pairs(B2, A1, B1),
+            _point_seg_pairs(A1, A2, B2),
+            _point_seg_pairs(B1, A2, B2),
+        ]
+    )
+    return np.where(meet, 0.0, d)
 
 
 def points_in_polygon(P: np.ndarray, V: np.ndarray) -> np.ndarray:

@@ -44,7 +44,7 @@ from .errors import (
     TerminalInsideFloor,
     UnreachableError,
 )
-from .geom import Point2, Region, contains, point_segment_distance
+from .geom import PlanarDomain, Point2, Region, contains, point_segment_distance
 from .metric import (
     EXTRAPOLATIONS,
     MetricConfig,
@@ -121,11 +121,40 @@ def _cfg_from(scene: Scene | None, args) -> MetricConfig:
     return dataclasses.replace(cfg, **updates) if updates else cfg
 
 
-def _named_point(scene: Scene, name: str) -> Point2:
-    try:
-        return scene.points[name]
-    except KeyError:
-        raise SceneInvalid(f"no point named {name!r} in the scene") from None
+def _name_list(text: str) -> list[str]:
+    return [n for n in text.split(",") if n]
+
+
+def _named_points(scene: Scene, names: list[str]) -> tuple[list[Point2], list[str | None]]:
+    """Positions and side hints of the named points."""
+    for name in names:
+        if name not in scene.points:
+            raise SceneInvalid(f"no point named {name!r} in the scene")
+    return [scene.points[n] for n in names], [scene.hints.get(n) for n in names]
+
+
+def _domain_of(scene: Scene, command: str) -> PlanarDomain:
+    """The domain of a scene without obstacle segments, for the commands
+    defined on the domain metric."""
+    if scene.domain is None:
+        raise SceneInvalid(f"{command} needs a scene with a domain")
+    if scene.segments:
+        raise SceneInvalid(
+            f"{command} is defined on the domain metric; the scene has obstacle segments"
+        )
+    return scene.domain
+
+
+def _oracle_lengths(scene: Scene, pts: list[Point2], hints: list[str | None]) -> np.ndarray:
+    """Pairwise shortest-path lengths in a scene with obstacle segments,
+    inf where a pair is unreachable."""
+    engine = PreparedScene(scene.obstacle_scene())
+    out = np.zeros((len(pts), len(pts)))
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            res = engine.shortest_path(pts[i], pts[j], hint_a=hints[i], hint_b=hints[j])
+            out[i, j] = out[j, i] = res.length
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -212,27 +241,17 @@ def cmd_gen(args) -> int:
 
 def cmd_dist(args) -> int:
     scene = load_scene(args.scene)
-    p = _named_point(scene, args.p)
-    q = _named_point(scene, args.q)
+    (p, q), (hint_p, hint_q) = _named_points(scene, [args.p, args.q])
     if scene.segments:
-        engine = PreparedScene(scene.obstacle_scene())
-        res = engine.shortest_path(
-            p, q, hint_a=scene.hints.get(args.p), hint_b=scene.hints.get(args.q)
-        )
-        if not res.reached:
+        length = _oracle_lengths(scene, [p, q], [hint_p, hint_q])[0, 1]
+        if math.isinf(length):
             print("value inf")
             return EXIT_UNREACHABLE
-        print(f"value {fmt12(res.length)}")
+        print(f"value {fmt12(length)}")
         print("evaluation oracle-exact")
         return EXIT_OK
-    if scene.domain is None:
-        raise SceneInvalid("scene has neither a domain nor segments")
-    cfg = _cfg_from(scene, args)
-    est = rho(
-        scene.domain, p, q, cfg,
-        hint_x=scene.hints.get(args.p),
-        hint_y=scene.hints.get(args.q),
-    )
+    domain = _domain_of(scene, "dist")
+    est = rho(domain, p, q, _cfg_from(scene, args), hint_x=hint_p, hint_y=hint_q)
     print(f"value {fmt12(est.value)}")
     print(f"converged {'true' if est.converged else 'false'}")
     print("offset length")
@@ -243,20 +262,15 @@ def cmd_dist(args) -> int:
 
 def cmd_matrix(args) -> int:
     scene = load_scene(args.scene)
-    if scene.domain is None:
-        raise SceneInvalid("matrix needs a scene with a domain")
-    names = (
-        [n for n in args.points.split(",") if n]
-        if args.points
-        else sorted(scene.points)
-    )
+    names = args.points or sorted(scene.points)
     if len(names) < 2:
         raise SceneInvalid("need at least two points")
-    pts = [_named_point(scene, n) for n in names]
-    cfg = _cfg_from(scene, args)
-    hints = [scene.hints.get(n) for n in names]
-    matrix = distance_matrix(scene.domain, pts, cfg, hints)
-    values = matrix_values(matrix)
+    pts, hints = _named_points(scene, names)
+    if scene.segments:
+        values = _oracle_lengths(scene, pts, hints)
+    else:
+        domain = _domain_of(scene, "matrix")
+        values = matrix_values(distance_matrix(domain, pts, _cfg_from(scene, args), hints))
     _emit(matrix_csv(names, values), args.csv)
     if args.csv:
         print(f"wrote {args.csv}")
@@ -297,22 +311,14 @@ def _random_interior_points(
 
 def cmd_check(args) -> int:
     scene = load_scene(args.scene)
-    if scene.domain is None:
-        raise SceneInvalid("check needs a scene with a domain")
-    domain = scene.domain
+    domain = _domain_of(scene, "check")
     cfg = _cfg_from(scene, args)
-
-    if args.points:
-        selected = [n for n in args.points.split(",") if n]
-    else:
-        selected = sorted(scene.points)
+    selected = args.points or sorted(scene.points)
 
     if args.what == "metric":
         tol = args.tol if args.tol is not None else cfg.tol_metric
         if len(selected) >= 3:
-            names = selected
-            pts = [_named_point(scene, n) for n in names]
-            hints = [scene.hints.get(n) for n in names]
+            pts, hints = _named_points(scene, selected)
         else:
             pts = _random_interior_points(
                 domain, args.samples, args.seed, max(cfg.offsets)
@@ -336,14 +342,10 @@ def cmd_check(args) -> int:
             pair = (names[0], names[1])
         else:
             raise SceneInvalid("geodesic check needs two named points")
-        p = _named_point(scene, pair[0])
-        q = _named_point(scene, pair[1])
+        (p, q), (hint_p, hint_q) = _named_points(scene, list(pair))
         tol = args.tol if args.tol is not None else 1e-6
         gc = extract_geodesic(
-            domain, p, q, cfg,
-            hint_x=scene.hints.get(pair[0]),
-            hint_y=scene.hints.get(pair[1]),
-            grid=args.grid,
+            domain, p, q, cfg, hint_x=hint_p, hint_y=hint_q, grid=args.grid
         )
         print(f"length {fmt12(gc.length)}")
         print(f"max_deviation {fmt12(gc.max_deviation)}")
@@ -368,17 +370,13 @@ def cmd_check(args) -> int:
         return _verdict(ok)
 
     if args.what == "ambient":
-        names = selected
-        if len(names) < 2:
+        if len(selected) < 2:
             raise SceneInvalid("ambient check needs at least two named points")
-        pts = [_named_point(scene, n) for n in names]
-        pairs = [
-            (pts[i], pts[j])
-            for i in range(len(pts))
-            for j in range(i + 1, len(pts))
-        ]
+        pts, hints = _named_points(scene, selected)
+        ij = [(i, j) for i in range(len(pts)) for j in range(i + 1, len(pts))]
+        pairs = [(pts[i], pts[j]) for i, j in ij]
         tol = args.tol if args.tol is not None else 1e-9
-        gap = check_rho_equals_ambient(domain, pairs)
+        gap = check_rho_equals_ambient(domain, pairs, [(hints[i], hints[j]) for i, j in ij])
         print(f"pairs {len(pairs)}")
         print(f"max_gap {fmt12(gap)}")
         ok = gap <= tol
@@ -482,15 +480,11 @@ def cmd_repro(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    scene_a = load_scene(args.scene_a)
-    scene_b = load_scene(args.scene_b)
-    if scene_a.domain is None or scene_b.domain is None:
-        raise SceneInvalid("compare needs two scenes with domains")
-    # profiles use the closure evaluation; the config flags are only validated
-    _cfg_from(scene_a, args)
+    domain_a = _domain_of(load_scene(args.scene_a), "compare")
+    domain_b = _domain_of(load_scene(args.scene_b), "compare")
     tol = args.tol if args.tol is not None else 1e-9
-    prof_a = boundary_profile(scene_a.domain, args.samples)
-    prof_b = boundary_profile(scene_b.domain, args.samples)
+    prof_a = boundary_profile(domain_a, args.samples)
+    prof_b = boundary_profile(domain_b, args.samples)
     align = compare_profiles(prof_a, prof_b)
     print(f"samples {args.samples}")
     print(f"alignment shift {align.shift} reflected "
@@ -505,9 +499,7 @@ def cmd_compare(args) -> int:
         print(f"congruence_gap {fmt12(cong.max_gap)}")
         print(f"congruent {'true' if congruent else 'false'}")
     if args.eta is not None:
-        rep = convexity_transfer_test(
-            scene_a.domain, scene_b.domain, args.samples, args.eta, tol
-        )
+        rep = convexity_transfer_test(domain_a, domain_b, args.samples, args.eta, tol)
         print(f"transfer applicable {'true' if rep.applicable else 'false'}")
         print(f"transfer agrees {'true' if rep.agrees else 'false'}")
         print(
@@ -522,9 +514,9 @@ def cmd_compare(args) -> int:
     if args.svg:
         sigma = align.permutation(prof_b.size)
         fig = Scene(
-            domain=scene_a.domain,
+            domain=domain_a,
             points={f"a{i}": p for i, p in enumerate(prof_a.samples)},
-            segments=tuple(scene_b.domain.boundary_features()),
+            segments=tuple(domain_b.boundary_features()),
         )
         extra = {
             f"b{i}": prof_b.samples[int(k)] for i, k in enumerate(sigma)
@@ -583,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     mx = sub.add_parser("matrix", help="pairwise distance matrix as CSV")
     mx.add_argument("scene")
-    mx.add_argument("--points", help="comma-separated point names (default: all)")
+    mx.add_argument("--points", type=_name_list, help="comma-separated point names (default: all)")
     mx.add_argument("--csv", help="write CSV here (default stdout)")
     add_cfg(mx)
     mx.set_defaults(func=cmd_matrix)
@@ -594,7 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     c.add_argument("scene")
     c.add_argument("--tol", type=float, default=None)
-    c.add_argument("--points", help="comma-separated point names (default: all)")
+    c.add_argument("--points", type=_name_list, help="comma-separated point names (default: all)")
     c.add_argument("--samples", type=int, default=12)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--eta", type=float, default=0.05)
@@ -641,7 +633,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="also run the convexity transfer test at this eta")
     cp.add_argument("--csv", help="write the first profile matrix here")
     cp.add_argument("--svg", help="overlay figure of aligned samples")
-    add_cfg(cp)
     cp.set_defaults(func=cmd_compare)
 
     return parser

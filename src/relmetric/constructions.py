@@ -30,6 +30,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from . import _batch
 from .errors import (
     GeometryError,
     NotReachedWithinBound,
@@ -48,6 +49,7 @@ from .geom import (
     Strip3,
     contains,
     point_segment_distance,
+    polygon_edges,
     segment_segment_distance,
 )
 from .metric import MetricConfig, rho
@@ -636,39 +638,6 @@ def _auto_pitch(j: int, k: int, gap_below: float, coils: int) -> float:
     return (rho0 - rho_floor) / (2.0 * math.pi * coils)
 
 
-def _seg_dist_2d(A1, B1, A2, B2) -> np.ndarray:
-    """Vectorized distance between 2-D segment pairs; zero when they meet.
-    For non-crossing segments the minimum is attained at an endpoint."""
-
-    def orient(P, Q, R):
-        return (Q[:, 0] - P[:, 0]) * (R[:, 1] - P[:, 1]) - (Q[:, 1] - P[:, 1]) * (
-            R[:, 0] - P[:, 0]
-        )
-
-    def pt_seg(P, A, B):
-        d = B - A
-        den = np.einsum("ij,ij->i", d, d)
-        den = np.where(den <= 0, 1.0, den)
-        t = np.clip(np.einsum("ij,ij->i", P - A, d) / den, 0.0, 1.0)
-        proj = A + t[:, None] * d
-        return np.hypot(P[:, 0] - proj[:, 0], P[:, 1] - proj[:, 1])
-
-    o1 = orient(A1, B1, A2)
-    o2 = orient(A1, B1, B2)
-    o3 = orient(A2, B2, A1)
-    o4 = orient(A2, B2, B1)
-    crossing = (o1 * o2 <= 0) & (o3 * o4 <= 0)
-    d = np.minimum.reduce(
-        [
-            pt_seg(A2, A1, B1),
-            pt_seg(B2, A1, B1),
-            pt_seg(A1, A2, B2),
-            pt_seg(B1, A2, B2),
-        ]
-    )
-    return np.where(crossing, 0.0, d)
-
-
 def _seg_dist_3d(a0: Point3, a1: Point3, b0: Point3, b1: Point3) -> float:
     """Minimum distance between two 3-D segments (clamped closest-point)."""
     u = np.array(a1.as_tuple()) - np.array(a0.as_tuple())
@@ -776,7 +745,7 @@ def build_strips(
         J = np.repeat(jj, 16)
         SI = np.tile(si, len(ii))
         SJ = np.tile(sj, len(ii))
-        d = _seg_dist_2d(
+        d = _batch.seg_pair_dists(
             sides_a[I, SI], sides_b[I, SI], sides_a[J, SJ], sides_b[J, SJ]
         )
         pair_d = d.reshape(len(ii), 16).min(axis=1)
@@ -904,7 +873,7 @@ def random_slit_domain(
         r = rng.uniform(1.2, 2.0)
         outer.append(Point2(r * math.cos(th), r * math.sin(th)))
     domain = PlanarDomain(tuple(outer), (), ())
-    feats = [Segment2(a, b) for a, b in _polygon_edges(outer)]
+    feats = polygon_edges(outer)
     placed: list[Segment2] = []
     attempts = 0
     while len(placed) < slits and attempts < 200:
@@ -925,10 +894,6 @@ def random_slit_domain(
                 continue
             placed.append(cand)
     return PlanarDomain(tuple(outer), (), tuple(placed))
-
-
-def _polygon_edges(verts: Sequence[Point2]):
-    return [(verts[i], verts[(i + 1) % len(verts)]) for i in range(len(verts))]
 
 
 def _clear_of(cand: Segment2, others: Sequence[Segment2], clearance: float) -> bool:

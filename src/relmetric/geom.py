@@ -67,9 +67,6 @@ class Point2:
         """Left normal: the vector rotated +90 degrees."""
         return Point2(-self.y, self.x)
 
-    def angle(self) -> float:
-        return math.atan2(self.y, self.x)
-
     def as_tuple(self) -> tuple[float, float]:
         return (self.x, self.y)
 
@@ -110,12 +107,6 @@ class Segment2:
     def direction(self) -> Point2:
         return (self.b - self.a).unit()
 
-    def midpoint(self) -> Point2:
-        return Point2(0.5 * (self.a.x + self.b.x), 0.5 * (self.a.y + self.b.y))
-
-    def reversed(self) -> "Segment2":
-        return Segment2(self.b, self.a)
-
 
 @dataclass(frozen=True)
 class Polyline:
@@ -130,9 +121,6 @@ class Polyline:
             self.vertices[i].distance_to(self.vertices[i + 1])
             for i in range(len(self.vertices) - 1)
         )
-
-    def reversed(self) -> "Polyline":
-        return Polyline(tuple(reversed(self.vertices)))
 
     def cumulative_lengths(self) -> list[float]:
         out = [0.0]
@@ -440,29 +428,6 @@ class PlanarDomain:
     def boundary_features(self) -> tuple[Segment2, ...]:
         return _domain_features(self)
 
-    @classmethod
-    def from_raw(
-        cls,
-        outer: Iterable[tuple[float, float]],
-        holes: Iterable[Iterable[tuple[float, float]]] = (),
-        slits: Iterable[tuple[tuple[float, float], tuple[float, float]]] = (),
-    ) -> "PlanarDomain":
-        """Build from bare coordinates, normalizing boundary orientations."""
-        out = [Point2(float(x), float(y)) for x, y in outer]
-        if polygon_signed_area(out) < 0:
-            out.reverse()
-        hs = []
-        for hole in holes:
-            hv = [Point2(float(x), float(y)) for x, y in hole]
-            if polygon_signed_area(hv) > 0:
-                hv.reverse()
-            hs.append(tuple(hv))
-        sl = tuple(
-            Segment2(Point2(float(a[0]), float(a[1])), Point2(float(b[0]), float(b[1])))
-            for a, b in slits
-        )
-        return cls(tuple(out), tuple(hs), sl)
-
 
 @lru_cache(maxsize=64)
 def _domain_features(domain: PlanarDomain) -> tuple[Segment2, ...]:
@@ -630,6 +595,3 @@ class Strip3:
     base_radius: float
     pitch: float
     rulings: tuple[tuple[Point3, Point3], ...]
-
-    def ruling_lengths(self) -> list[float]:
-        return [a.distance_to(b) for a, b in self.rulings]

@@ -416,15 +416,21 @@ def check_property_circ(
 def check_rho_equals_ambient(
     domain: PlanarDomain,
     pairs: Sequence[tuple[Point2, Point2]],
+    hints: Sequence[tuple[str | None, str | None]] | None = None,
 ) -> float:
     """Max over pairs of |relative distance - Euclidean distance|.
 
-    Uses the closure evaluation so convex domains report zero up to float
-    rounding rather than offset-schedule error."""
+    `hints`, if given, parallels `pairs` as (hint_x, hint_y).  Uses the
+    closure evaluation so convex domains report zero up to float rounding
+    rather than offset-schedule error."""
+    if hints is None:
+        hints = [(None, None)] * len(pairs)
+    if len(hints) != len(pairs):
+        raise SpecInvalid("hints must parallel pairs")
     worst = 0.0
     engine = _engine(domain)
-    for x, y in pairs:
-        res = engine.shortest_path(x, y)
+    for (x, y), (hint_x, hint_y) in zip(pairs, hints):
+        res = engine.shortest_path(x, y, hint_a=hint_x, hint_b=hint_y)
         if not res.reached:
             raise UnreachableError(f"pair ({x.x},{x.y})-({y.x},{y.y}) unreachable")
         worst = max(worst, abs(res.length - x.distance_to(y)))

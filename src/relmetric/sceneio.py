@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from .errors import SceneInvalid
-from .geom import PlanarDomain, Point2, Polyline, Segment2
+from .geom import PlanarDomain, Point2, Segment2
 from .metric import EXTRAPOLATIONS, MetricConfig
 from .visibility import ObstacleScene
 
@@ -283,13 +283,11 @@ def _svg_bbox(pts: list[Point2]) -> tuple[float, float, float, float]:
 
 def render_svg(
     scene: Scene,
-    paths: Sequence[Polyline] = (),
-    floor: Sequence[Point2] = (),
     extra_points: dict[str, Point2] | None = None,
     width: int = 640,
 ) -> str:
-    """Static SVG 1.1 figure: domain fill, slits, obstacle segments,
-    optional geodesic polylines, floor polygon and labeled points."""
+    """Static SVG 1.1 figure: domain fill, slits, obstacle segments and
+    labeled points."""
     world: list[Point2] = []
     if scene.domain is not None:
         world.extend(scene.domain.outer)
@@ -300,9 +298,6 @@ def render_svg(
     for s in scene.segments:
         world.extend((s.a, s.b))
     world.extend(scene.points.values())
-    for pl in paths:
-        world.extend(pl.vertices)
-    world.extend(floor)
     if extra_points:
         world.extend(extra_points.values())
     if not world:
@@ -346,18 +341,6 @@ def render_svg(
         out.append(
             f'<line x1="{X(s.a.x)}" y1="{Y(s.a.y)}" x2="{X(s.b.x)}" '
             f'y2="{Y(s.b.y)}" stroke="#1d4ed8" stroke-width="1"/>'
-        )
-    if floor:
-        pts = " ".join(f"{X(p.x)},{Y(p.y)}" for p in floor)
-        out.append(
-            f'<polygon points="{pts}" fill="none" stroke="#9ca3af" '
-            f'stroke-width="1" stroke-dasharray="4 3"/>'
-        )
-    for pl in paths:
-        pts = " ".join(f"{X(p.x)},{Y(p.y)}" for p in pl.vertices)
-        out.append(
-            f'<polyline points="{pts}" fill="none" stroke="#15803d" '
-            f'stroke-width="1.5"/>'
         )
     labeled = dict(sorted(scene.points.items()))
     if extra_points:

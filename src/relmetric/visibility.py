@@ -212,6 +212,13 @@ class PreparedScene:
     through a joint between two walls, but may still ride along a wall,
     because directions on a wedge border belong to both neighboring wedges.
 
+    Terminals: a query point within EPS_GEOM of a base node is that node.
+    Any other terminal becomes a node of the query graph, with id ``_n`` for
+    a and ``_n + 1`` for b, and has a position, a wedge list (the side of a
+    two-sided wall its hint selects) and a visibility row like a base node.
+    Terminal a's row also decides the direct a-b edge; the rows of the base
+    nodes that a terminal sees gain that terminal for the query.
+
     Candidate edges are rejected when they properly cross a feature, when
     their open segment passes through another base node (the path must
     decompose there instead), or when their midpoint leaves the allowed
@@ -256,7 +263,7 @@ class PreparedScene:
         self._walls = slice(0, n_walls)
         self._floor_edges = slice(n_walls, len(feats))
         self._node_wedges: list[list[tuple[float, float]]] = self._compute_wedges()
-        self._nbrs: dict[int, np.ndarray] = {}
+        self._nbrs: dict[int, list[int]] = {}
 
     # -- static structure --------------------------------------------------
 
@@ -325,52 +332,44 @@ class PreparedScene:
 
     # -- lazy visibility ----------------------------------------------------
 
-    def _vis_row(self, i: int) -> np.ndarray:
-        """Indices of base nodes visible from base node i (cached)."""
-        cached = self._nbrs.get(i)
-        if cached is not None:
-            return cached
-        row = np.nonzero(self._visibility(self._P[i], skip_base=i))[0]
-        self._nbrs[i] = row
+    def _vis_row(self, i: int) -> list[int]:
+        """Base nodes visible from base node i (cached)."""
+        row = self._nbrs.get(i)
+        if row is None:
+            vis = self._visibility(self._P[i], self._P, skip_base=i)
+            row = self._nbrs[i] = np.nonzero(vis)[0].tolist()
         return row
 
-    def _visibility(self, p: np.ndarray, skip_base: int | None) -> np.ndarray:
-        if self._n == 0:
-            return np.zeros(0, dtype=bool)
-        Q = self._P
+    def _visibility(self, p: np.ndarray, Q: np.ndarray, skip_base: int | None = None) -> np.ndarray:
+        """Which candidates Q[j] are visible from p.  The first ``_n`` rows
+        of Q are the base nodes in order; p is base node `skip_base` or an
+        off-node terminal, which has no base node within EPS_GEOM."""
         ok = np.linalg.norm(Q - p[None, :], axis=1) > EPS_GEOM
         if skip_base is not None:
             ok[skip_base] = False
-        if len(self.features) and ok.any():
-            crossing = _batch.cross_matrix(p, Q, self._FA, self._FB, EPS_GEOM).any(axis=1)
-            ok &= ~crossing
         if ok.any():
-            nd = _batch.seg_point_dists(p, Q, self._P)
-            near = nd <= EPS_GEOM
+            ok &= ~_batch.cross_matrix(p, Q, self._FA, self._FB, EPS_GEOM).any(axis=1)
+        if ok.any():
+            near = _batch.seg_point_dists(p, Q, self._P) <= EPS_GEOM
+            # a base-node candidate and the source node end the segment
             near[np.arange(self._n), np.arange(self._n)] = False
             if skip_base is not None:
                 near[:, skip_base] = False
-            else:
-                at_p = np.linalg.norm(self._P - p[None, :], axis=1) <= EPS_GEOM
-                near[:, at_p] = False
             ok &= ~near.any(axis=1)
         if ok.any():
             ok &= self._region_mask(0.5 * (p[None, :] + Q))
         return ok
 
-    def _pair_free(self, p: Point2, q: Point2) -> bool:
-        """Visibility between two off-node positions (the direct a-b edge)."""
-        if p.distance_to(q) <= EPS_GEOM:
-            return False
-        pa = np.array(p.as_tuple())
-        Q = np.array([q.as_tuple()])
-        if len(self.features) and _batch.cross_matrix(pa, Q, self._FA, self._FB, EPS_GEOM).any():
-            return False
-        if self._n and (_batch.seg_point_dists(pa, Q, self._P) <= EPS_GEOM).any():
-            return False
-        return bool(self._region_mask(0.5 * (pa[None, :] + Q))[0])
-
     # -- terminals -----------------------------------------------------------
+
+    def _snap(self, t: Point2) -> int | None:
+        """The base node at t: an exact position match, else the first base
+        node within EPS_GEOM."""
+        idx = self._pos_index.get(t.as_tuple())
+        if idx is None:
+            near = np.nonzero(np.hypot(self._P[:, 0] - t.x, self._P[:, 1] - t.y) <= EPS_GEOM)[0]
+            idx = int(near[0]) if near.size else None
+        return idx
 
     def _terminal_wedges(self, p: Point2, hint: str | None, label: str) -> list[tuple[float, float]]:
         rays, host = blocked_rays(self.features, p)
@@ -404,114 +403,79 @@ class PreparedScene:
             for label, t in (("a", a), ("b", b)):
                 if contains(self.scene.boundary, t) is Region.EXTERIOR:
                     raise SceneInvalid(f"terminal {label} lies outside the domain")
-        coincident = a.distance_to(b) <= EPS_GEOM
+        n = self._n
+        start, goal = self._snap(a), self._snap(b)
+        # off-node terminals are nodes n (a) and n + 1 (b) of this query
+        points = self.base_points + [a, b]
+        node_wedges = self._node_wedges + [[], []]
+        if start is None:
+            start = n
+            node_wedges[n] = self._terminal_wedges(a, hint_a, "a")
+        if goal is None:
+            goal = n + 1
+            node_wedges[n + 1] = self._terminal_wedges(b, hint_b, "b")
 
-        terminals: list[dict] = []
-        for label, t, hint in (("a", a, hint_a), ("b", b, hint_b)):
-            base_idx = None
-            key = t.as_tuple()
-            if key in self._pos_index:
-                base_idx = self._pos_index[key]
-            else:
-                for i, bp in enumerate(self.base_points):
-                    if bp.distance_to(t) <= EPS_GEOM:
-                        base_idx = i
-                        break
-            if base_idx is not None:
-                terminals.append(
-                    {
-                        "pos": self.base_points[base_idx],
-                        "base": base_idx,
-                        "wedges": self._node_wedges[base_idx],
-                        "vis": None,
-                    }
-                )
-            else:
-                wedges = self._terminal_wedges(t, hint, label)
-                vis = self._visibility(np.array(t.as_tuple()), skip_base=None)
-                terminals.append({"pos": t, "base": None, "wedges": wedges, "vis": vis})
-        ta, tb = terminals
-
-        if coincident:
+        if a.distance_to(b) <= EPS_GEOM:
             # a graph node (wall vertex or segment end) is one point; two
             # mid-wall terminals coincide only when their sides overlap
-            if ta["base"] is not None or _wedges_share_interior(
-                ta["wedges"], tb["wedges"]
-            ):
+            if start < n or _wedges_share_interior(node_wedges[start], node_wedges[goal]):
                 return PathResult(True, 0.0, Polyline((a,)))
 
+        rows: dict[int, list[int]] = {}
         direct = False
-        if not coincident and ta["base"] is None and tb["base"] is None:
-            direct = self._pair_free(ta["pos"], tb["pos"])
+        if start == n:
+            # b's position, when b is off-node, is the last candidate
+            Q = self._P if goal < n else np.vstack([self._P, [b.as_tuple()]])
+            vis = self._visibility(np.array(a.as_tuple()), Q)
+            rows[n] = np.nonzero(vis[:n])[0].tolist()
+            direct = goal == n + 1 and bool(vis[n])
+            if direct:
+                rows[n].append(n + 1)
+        if goal == n + 1:
+            rows[n + 1] = np.nonzero(self._visibility(np.array(b.as_tuple()), self._P))[0].tolist()
+            if direct:
+                rows[n + 1].append(n)
+        seen_by: dict[int, list[int]] = {}
+        for t, row in rows.items():
+            for j in row:
+                if j < n:
+                    seen_by.setdefault(j, []).append(t)
 
-        # node ids: 0.._n-1 bases, _n = terminal a, _n+1 = terminal b
-        A_ID, B_ID = self._n, self._n + 1
-
-        def node_pos(idx: int) -> Point2:
-            if idx == A_ID:
-                return ta["pos"]
-            if idx == B_ID:
-                return tb["pos"]
-            return self.base_points[idx]
-
-        def node_wedges(idx: int) -> list[tuple[float, float]]:
-            if idx == A_ID:
-                return ta["wedges"]
-            if idx == B_ID:
-                return tb["wedges"]
-            return self._node_wedges[idx]
-
-        start_id = A_ID if ta["base"] is None else ta["base"]
-        goal_id = B_ID if tb["base"] is None else tb["base"]
-        goal_wedges = set(range(len(node_wedges(goal_id))))
+        def neighbours(i: int) -> list[int]:
+            row = rows.get(i)
+            if row is None:
+                row = rows[i] = self._vis_row(i) + seen_by.get(i, [])
+            return row
 
         dist: dict[tuple[int, int], float] = {}
         parent: dict[tuple[int, int], tuple[int, int] | None] = {}
         heap: list[tuple[float, int, int]] = []
-        for w_idx in range(len(node_wedges(start_id))):
-            dist[(start_id, w_idx)] = 0.0
-            parent[(start_id, w_idx)] = None
-            heapq.heappush(heap, (0.0, start_id, w_idx))
-
-        def neighbors(idx: int) -> list[int]:
-            out: list[int]
-            if idx == A_ID:
-                out = [int(j) for j in np.nonzero(ta["vis"])[0]]
-                if direct:
-                    out.append(B_ID)
-            elif idx == B_ID:
-                out = [int(j) for j in np.nonzero(tb["vis"])[0]]
-                if direct:
-                    out.append(A_ID)
-            else:
-                out = [int(j) for j in self._vis_row(idx)]
-                if ta["base"] is None and bool(ta["vis"][idx]):
-                    out.append(A_ID)
-                if tb["base"] is None and bool(tb["vis"][idx]):
-                    out.append(B_ID)
-            return out
+        for w_idx in range(len(node_wedges[start])):
+            dist[(start, w_idx)] = 0.0
+            parent[(start, w_idx)] = None
+            heapq.heappush(heap, (0.0, start, w_idx))
 
         found: tuple[int, int] | None = None
         while heap:
             d, idx, w_idx = heapq.heappop(heap)
             if d > dist.get((idx, w_idx), math.inf):
                 continue
-            if idx == goal_id and w_idx in goal_wedges:
+            if idx == goal:
                 found = (idx, w_idx)
                 break
-            p = node_pos(idx)
-            wedge = node_wedges(idx)[w_idx]
-            for j in neighbors(idx):
+            p = points[idx]
+            wedge = node_wedges[idx][w_idx]
+            for j in neighbours(idx):
                 if j == idx:
                     continue
-                q = node_pos(j)
+                q = points[j]
                 theta = math.atan2(q.y - p.y, q.x - p.x)
                 if not _in_wedge(theta, wedge):
                     continue
                 left_src, right_src = _ray_adjacency(theta, wedge)
                 back = (theta + math.pi) % TWO_PI
                 step = p.distance_to(q)
-                for w2, wd in enumerate(node_wedges(j)):
+                for w2, wd in enumerate(node_wedges[j]):
                     if not _in_wedge(back, wd):
                         continue
                     # at the target the edge arrives along `back`; a wedge
@@ -531,7 +495,7 @@ class PreparedScene:
         chain: list[Point2] = []
         cur: tuple[int, int] | None = found
         while cur is not None:
-            chain.append(node_pos(cur[0]))
+            chain.append(points[cur[0]])
             cur = parent[cur]
         chain.reverse()
         verts: list[Point2] = [chain[0]]

@@ -253,6 +253,47 @@ def test_check_ambient(tmp_path, capsys):
     assert main(["check", "ambient", sq, "--points", "sw,ne"]) == 0
     slit = write_scene(tmp_path, "slit.json", slit_scene())
     assert main(["check", "ambient", slit, "--points", "w,e"]) == 3
+    # the hinted slit point "on" sits on the west face: w is in plain view,
+    # e lies behind the slit
+    capsys.readouterr()
+    assert main(["check", "ambient", slit, "--points", "on,w"]) == 0
+    assert "max_gap 0\n" in capsys.readouterr().out
+    assert main(["check", "ambient", slit, "--points", "on,e"]) == 3
+    assert "max_gap 0.707106781187" in capsys.readouterr().out
+
+
+def family_scene(tmp_path):
+    path = str(tmp_path / "fam.json")
+    assert main(["gen", "family", "--levels", "2", "--out", path]) == 0
+    return path
+
+
+def test_matrix_on_segments_scene_uses_the_oracle(tmp_path, capsys):
+    # the family's segments make A-D longer than the chord 0.517638090205
+    fam = family_scene(tmp_path)
+    capsys.readouterr()
+    assert main(["dist", fam, "A", "D"]) == 0
+    assert "value 1.62470440778" in capsys.readouterr().out
+    assert main(["matrix", fam, "--points", "A,D"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "A,0,1.62470440778"
+    # hints reach the oracle, as in dist
+    wall = Segment2(P(1.0, 0.5), P(1.0, 1.5))
+    points = {"on": P(1.0, 1.0), "e": P(1.5, 1.0)}
+    hinted = write_scene(
+        tmp_path, "seg.json", Scene(segments=(wall,), points=points, hints={"on": "right"})
+    )
+    assert main(["matrix", hinted]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "e,0,0.5"
+
+
+def test_domain_metric_commands_reject_segments_scenes(tmp_path, capsys):
+    fam = family_scene(tmp_path)
+    sq = write_scene(tmp_path, "sq.json", square_scene())
+    assert main(["check", "ambient", fam, "--points", "A,D"]) == 1
+    assert main(["check", "metric", fam]) == 1
+    assert main(["compare", fam, sq]) == 1
+    assert main(["compare", sq, fam]) == 1
+    assert "verdict" not in capsys.readouterr().out
 
 
 # -- repro ------------------------------------------------------------------------
@@ -293,6 +334,15 @@ def test_compare_congruent_and_not(tmp_path, capsys):
         Scene(domain=PlanarDomain([P(0, 0), P(2, 0), P(2, 1), P(0, 1)])),
     )
     assert main(["compare", sq1, rect, "--samples", "8"]) == 3
+
+
+def test_compare_has_no_offset_flags(tmp_path, capsys):
+    # profiles use the closure evaluation, so offset settings have no say
+    sq = write_scene(tmp_path, "a.json", square_scene())
+    for flag, value in (("--offsets", "0.1"), ("--extrapolation", "richardson")):
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", sq, sq, flag, value])
+        assert exc.value.code == 1
 
 
 # -- usage errors ---------------------------------------------------------------------

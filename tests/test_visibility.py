@@ -62,6 +62,14 @@ def test_visibility_graph_direct_edge():
     assert [v.as_tuple() for v in res.path.vertices] == [(0.0, 1.0), (1.0, 1.0)]
 
 
+def test_terminal_near_node_snaps(slit_square):
+    # a terminal 1e-10 from the slit tip is that node, not a new point
+    tip = slit_square.shortest_path(P(1.0, 1.5), P(1.5, 1.0))
+    near = slit_square.shortest_path(P(1.0 + 1e-10, 1.5), P(1.5, 1.0))
+    assert near.length == tip.length == pytest.approx(math.hypot(0.5, 0.5), abs=1e-15)
+    assert near.path.vertices[0].as_tuple() == (1.0, 1.5)
+
+
 def test_slit_blocks_straight_crossing(slit_square):
     res = slit_square.shortest_path(P(0.5, 1.0), P(1.5, 1.0))
     # around the upper tip (1, 1.5): two hypotenuses of 0.5 x 0.5
