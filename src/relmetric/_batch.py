@@ -1,18 +1,33 @@
-"""Vectorized geometry kernels shared by scene validation, visibility and
-the strips disjointness certificate.
+"""Vectorized geometry kernels: the package's one implementation of the
+scene-wide predicates (segment contacts for validation, closure membership,
+the visibility filters, the feature hits behind blocked rays) and of the
+strips disjointness distances.
 
-All predicates mirror the scalar versions in :mod:`relmetric.geom`; the
-orientation tolerance is absolute on twice the signed area.
+The orientation tolerance is absolute on twice the signed area.  The scalar
+predicates kept in :mod:`relmetric.geom` serve as test references.
 """
 from __future__ import annotations
 
 import numpy as np
+
+CONTACT_KINDS = ("disjoint", "cross", "overlap", "shared-endpoint", "touch")
+DISJOINT, CROSS, OVERLAP, SHARED_ENDPOINT, TOUCH = range(len(CONTACT_KINDS))
+# pairs per block of the contact kernel: its stacked temporaries stay at
+# 128 KiB, so validating a large scene does not grow the process heap
+_CONTACT_BLOCK = 2048
 
 
 def _osign(ux, uy, vx, vy, wx, wy, eps: float):
     val = (vx - ux) * (wy - uy) - (vy - uy) * (wx - ux)
     s = np.sign(val)
     return np.where(np.abs(val) <= eps, 0.0, s)
+
+
+def _stack4(A, B, C, D):
+    """The four (point, segment) pairs of segments A->B and C->D (arrays of
+    one shape), stacked on a new first axis as (segment starts, segment
+    ends, points): C and D against A->B, then A and B against C->D."""
+    return np.array([A, A, C, C]), np.array([B, B, D, D]), np.array([C, D, A, B])
 
 
 def cross_matrix(p: np.ndarray, Q: np.ndarray, FA: np.ndarray, FB: np.ndarray, eps: float) -> np.ndarray:
@@ -63,38 +78,27 @@ def seg_point_dists(p: np.ndarray, Q: np.ndarray, N: np.ndarray, chunk: int = 51
     return out
 
 
-def _point_seg_pairs(P: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Distances from P[i] to segment A[i]->B[i], elementwise: (k,)."""
-    d = B - A
-    den = np.einsum("ij,ij->i", d, d)
+def _pseg(P: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Distances from P to segments A->B, elementwise over the broadcast
+    leading axes of the (..., 2) arrays."""
+    dx, dy = B[..., 0] - A[..., 0], B[..., 1] - A[..., 1]
+    den = dx * dx + dy * dy
     den = np.where(den <= 0, 1.0, den)
-    t = np.clip(np.einsum("ij,ij->i", P - A, d) / den, 0.0, 1.0)
-    proj = A + t[:, None] * d
-    return np.hypot(P[:, 0] - proj[:, 0], P[:, 1] - proj[:, 1])
+    t = np.clip(((P[..., 0] - A[..., 0]) * dx + (P[..., 1] - A[..., 1]) * dy) / den, 0.0, 1.0)
+    return np.hypot(P[..., 0] - (A[..., 0] + t * dx), P[..., 1] - (A[..., 1] + t * dy))
 
 
 def seg_pair_dists(A1: np.ndarray, B1: np.ndarray, A2: np.ndarray, B2: np.ndarray) -> np.ndarray:
-    """Distances between segments A1[i]->B1[i] and A2[i]->B2[i], elementwise: (k,).
+    """Distances between segments A1->B1 and A2->B2, elementwise over
+    (..., 2) arrays of one shape.
 
     Zero when a pair meets; with an exact orientation test, touching and
     collinear pairs count as meeting.  For pairs that do not meet the minimum
     is attained at an endpoint."""
-
-    def orient(U, V, W):
-        return _osign(U[:, 0], U[:, 1], V[:, 0], V[:, 1], W[:, 0], W[:, 1], 0.0)
-
-    meet = (orient(A1, B1, A2) * orient(A1, B1, B2) <= 0) & (
-        orient(A2, B2, A1) * orient(A2, B2, B1) <= 0
-    )
-    d = np.minimum.reduce(
-        [
-            _point_seg_pairs(A2, A1, B1),
-            _point_seg_pairs(B2, A1, B1),
-            _point_seg_pairs(A1, A2, B2),
-            _point_seg_pairs(B1, A2, B2),
-        ]
-    )
-    return np.where(meet, 0.0, d)
+    U, V, W = _stack4(A1, B1, A2, B2)
+    o = _osign(U[..., 0], U[..., 1], V[..., 0], V[..., 1], W[..., 0], W[..., 1], 0.0)
+    meet = (o[0] * o[1] <= 0) & (o[2] * o[3] <= 0)
+    return np.where(meet, 0.0, _pseg(W, U, V).min(axis=0))
 
 
 def points_in_polygon(P: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -110,3 +114,56 @@ def points_in_polygon(P: np.ndarray, V: np.ndarray) -> np.ndarray:
         xc = ax + (y - ay) * (bx - ax) / (by - ay)
         crossed = cond & (x < xc)
     return (np.count_nonzero(crossed, axis=1) % 2).astype(bool)
+
+
+def closure_parts(
+    P: np.ndarray, outer: np.ndarray, holes, A: np.ndarray, B: np.ndarray, eps: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """For points P (k,2): within eps of some segment A[i]->B[i], and inside
+    the outer polygon but in none of the hole polygons."""
+    on_b = point_seg_dists(P, A, B).min(axis=1) <= eps
+    inside = points_in_polygon(P, outer)
+    for hole in holes:
+        inside &= ~points_in_polygon(P, hole)
+    return on_b, inside
+
+
+def contacts(A1: np.ndarray, B1: np.ndarray, A2: np.ndarray, B2: np.ndarray, eps: float) -> np.ndarray:
+    """Contact of every segment A1[i]->B1[i] with every segment A2[j]->B2[j],
+    as an index into ``CONTACT_KINDS``: int8 (len(A1), len(A2)).
+
+    In order of precedence: a proper crossing; collinear segments sharing
+    more than eps of length (overlap); more than eps apart (disjoint); two
+    endpoints within eps (shared-endpoint); anything else is a touch."""
+    # Segments in contact are closer than eps / (shortest length), the reach
+    # of the collinearity tolerance on twice the area, or eps when longer
+    # than 1; pairs whose bounding boxes are further apart are disjoint.
+    shortest = min(1.0, float(np.hypot(*np.concatenate([B1 - A1, B2 - A2]).T).min(initial=1.0)))
+    reach = eps / shortest if shortest > 0 else np.inf
+    lo1, hi1 = np.minimum(A1, B1) - reach, np.maximum(A1, B1) + reach
+    lo2, hi2 = np.minimum(A2, B2), np.maximum(A2, B2)
+    i, j = np.nonzero(((lo1[:, None] <= hi2[None]) & (lo2[None] <= hi1[:, None])).all(axis=-1))
+    out = np.full((len(A1), len(A2)), DISJOINT, dtype=np.int8)
+    for lo in range(0, len(i), _CONTACT_BLOCK):
+        ii, jj = i[lo : lo + _CONTACT_BLOCK], j[lo : lo + _CONTACT_BLOCK]
+        out[ii, jj] = _contact_kinds(A1[ii], B1[ii], A2[jj], B2[jj], eps)
+    return out
+
+
+def _contact_kinds(A, B, C, D, eps: float) -> np.ndarray:
+    """Contact kinds of segments A[k]->B[k] and C[k]->D[k], elementwise."""
+    U, V, W = _stack4(A, B, C, D)
+    o = _osign(U[..., 0], U[..., 1], V[..., 0], V[..., 1], W[..., 0], W[..., 1], eps)
+    gap = _pseg(W, U, V).min(axis=0)
+    # the four endpoint pairs: A and B against C and D
+    E = np.concatenate([U[:2] - W[:2], V[:2] - W[:2]])
+    ends = np.hypot(E[..., 0], E[..., 1]).min(axis=0)
+    # overlap: the extent of C->D along A->B
+    u = B - A
+    t = ((W[:2] - A) * u).sum(axis=-1)
+    shared_len = np.minimum((u * u).sum(axis=-1), t.max(axis=0)) - np.maximum(0.0, t.min(axis=0))
+    kind = np.where(ends <= eps, SHARED_ENDPOINT, TOUCH).astype(np.int8)
+    kind[gap > eps] = DISJOINT
+    kind[~o.any(axis=0) & (shared_len > eps * np.hypot(u[..., 0], u[..., 1]))] = OVERLAP
+    kind[(o[0] * o[1] < 0) & (o[2] * o[3] < 0)] = CROSS
+    return kind

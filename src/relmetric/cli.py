@@ -44,7 +44,8 @@ from .errors import (
     TerminalInsideFloor,
     UnreachableError,
 )
-from .geom import PlanarDomain, Point2, Region, contains, point_segment_distance
+from ._batch import closure_parts
+from .geom import EPS_GEOM, PlanarDomain, Point2, domain_arrays
 from .metric import (
     EXTRAPOLATIONS,
     MetricConfig,
@@ -113,9 +114,12 @@ def _cfg_from(scene: Scene | None, args) -> MetricConfig:
     cfg = scene.config if scene else MetricConfig()
     updates = {}
     if getattr(args, "offsets", None):
-        updates["offsets"] = tuple(
-            float(d) for d in args.offsets.split(",") if d
-        )
+        try:
+            updates["offsets"] = tuple(float(d) for d in args.offsets.split(",") if d)
+        except ValueError:
+            raise SpecInvalid(
+                f"--offsets must be comma-separated numbers, got {args.offsets!r}"
+            ) from None
     if getattr(args, "extrapolation", None):
         updates["extrapolation"] = args.extrapolation
     return dataclasses.replace(cfg, **updates) if updates else cfg
@@ -288,7 +292,7 @@ def _random_interior_points(
     rng = random.Random(seed)
     xs = [p.x for p in domain.outer]
     ys = [p.y for p in domain.outer]
-    feats = domain.boundary_features()
+    FA, FB, _, outer, holes = domain_arrays(domain)
     out: list[Point2] = []
     attempts = 0
     while len(out) < n:
@@ -301,15 +305,17 @@ def _random_interior_points(
         p = Point2(
             rng.uniform(min(xs), max(xs)), rng.uniform(min(ys), max(ys))
         )
-        if contains(domain, p) is not Region.INTERIOR:
-            continue
-        if min(point_segment_distance(p, f.a, f.b) for f in feats) < clearance:
-            continue
-        out.append(p)
+        # inside, and further than the clearance from every boundary feature
+        near, inside = closure_parts(np.array([p.as_tuple()]), outer, holes, FA, FB, max(clearance, EPS_GEOM))
+        if inside[0] and not near[0]:
+            out.append(p)
     return out
 
 
 def cmd_check(args) -> int:
+    if args.what in ("convexity", "circ", "ambient") and (args.offsets or args.extrapolation):
+        # these checks use the closure evaluation, which has no offsets
+        raise SpecInvalid(f"check {args.what} takes no --offsets or --extrapolation")
     scene = load_scene(args.scene)
     domain = _domain_of(scene, "check")
     cfg = _cfg_from(scene, args)

@@ -1,4 +1,8 @@
-"""Planar primitives, tolerance-based predicates, and the slit-domain model.
+"""Planar primitives, the slit-domain model, and its scene-wide questions.
+
+Validation, :func:`contains`, blocked rays, wedges and inward offsets run on
+the array kernels of :mod:`relmetric._batch`; the scalar predicates here are
+the references that tests compare those kernels against.
 
 Convention: all "zero" tests on cross products use an absolute tolerance
 ``EPS_GEOM`` on twice the signed area.  Scene coordinates are expected to be
@@ -12,6 +16,9 @@ from enum import Enum
 from functools import lru_cache
 from typing import Iterable, Sequence
 
+import numpy as np
+
+from . import _batch
 from .errors import DomainInvalid, MissingHint, OffsetFailed
 
 EPS_GEOM = 1e-9
@@ -165,9 +172,8 @@ def orientation(p: Point2, q: Point2, r: Point2, eps: float = EPS_GEOM) -> int:
 def properly_cross(s: Segment2, t: Segment2, eps: float = EPS_GEOM) -> bool:
     """True iff the open interiors of s and t cross transversally.
 
-    Endpoint touching and collinear overlap both return False; overlap is
-    reported by :func:`collinear_overlap` and treated as a validation error
-    for obstacle sets.
+    Endpoint touching and collinear overlap both return False.  This is the
+    scalar reference for the ``cross`` contact of :func:`_batch.contacts`.
     """
     o1 = orientation(s.a, s.b, t.a, eps)
     o2 = orientation(s.a, s.b, t.b, eps)
@@ -176,36 +182,10 @@ def properly_cross(s: Segment2, t: Segment2, eps: float = EPS_GEOM) -> bool:
     return o1 * o2 < 0 and o3 * o4 < 0
 
 
-def collinear_overlap(s: Segment2, t: Segment2, eps: float = EPS_GEOM) -> bool:
-    """True iff s and t are collinear and share more than a single point."""
-    if (
-        orientation(s.a, s.b, t.a, eps) != 0
-        or orientation(s.a, s.b, t.b, eps) != 0
-        or orientation(t.a, t.b, s.a, eps) != 0
-        or orientation(t.a, t.b, s.b, eps) != 0
-    ):
-        return False
-    d = s.b - s.a
-    lo_s, hi_s = 0.0, d.dot(d)
-    p1 = (t.a - s.a).dot(d)
-    p2 = (t.b - s.a).dot(d)
-    lo_t, hi_t = min(p1, p2), max(p1, p2)
-    overlap = min(hi_s, hi_t) - max(lo_s, lo_t)
-    return overlap > eps * d.norm()
-
-
-def project_param(p: Point2, a: Point2, b: Point2) -> float:
-    """Parameter of the closest point to p on segment ab, clamped to [0, 1]."""
+def point_segment_distance(p: Point2, a: Point2, b: Point2) -> float:
     d = b - a
     denom = d.dot(d)
-    if denom <= 0.0:
-        return 0.0
-    t = (p - a).dot(d) / denom
-    return min(1.0, max(0.0, t))
-
-
-def point_segment_distance(p: Point2, a: Point2, b: Point2) -> float:
-    t = project_param(p, a, b)
+    t = 0.0 if denom <= 0.0 else min(1.0, max(0.0, (p - a).dot(d) / denom))
     q = Point2(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
     return p.distance_to(q)
 
@@ -219,21 +199,6 @@ def segment_segment_distance(s: Segment2, t: Segment2, eps: float = EPS_GEOM) ->
         point_segment_distance(t.a, s.a, s.b),
         point_segment_distance(t.b, s.a, s.b),
     )
-
-
-def classify_contact(s: Segment2, t: Segment2, eps: float = EPS_GEOM) -> str:
-    """One of: disjoint, cross, overlap, shared-endpoint, touch."""
-    if properly_cross(s, t, eps):
-        return "cross"
-    if collinear_overlap(s, t, eps):
-        return "overlap"
-    if segment_segment_distance(s, t, eps) > eps:
-        return "disjoint"
-    for p in (s.a, s.b):
-        for q in (t.a, t.b):
-            if p.distance_to(q) <= eps:
-                return "shared-endpoint"
-    return "touch"
 
 
 # ---------------------------------------------------------------------------
@@ -256,46 +221,44 @@ def polygon_edges(vertices: Sequence[Point2]) -> list[Segment2]:
     return [Segment2(vertices[i], vertices[(i + 1) % n]) for i in range(n)]
 
 
-def point_in_polygon(p: Point2, vertices: Sequence[Point2]) -> bool:
-    """Crossing-number parity; assumes p is not on the boundary."""
-    inside = False
-    n = len(vertices)
-    for i in range(n):
-        a = vertices[i]
-        b = vertices[(i + 1) % n]
-        if (a.y > p.y) != (b.y > p.y):
-            xc = a.x + (p.y - a.y) * (b.x - a.x) / (b.y - a.y)
-            if p.x < xc:
-                inside = not inside
-    return inside
+def point_array(points: Sequence[Point2]) -> np.ndarray:
+    """The points as an (n, 2) float array."""
+    return np.array([p.as_tuple() for p in points], dtype=float).reshape(-1, 2)
 
 
-def polygon_boundary_distance(p: Point2, vertices: Sequence[Point2]) -> float:
-    return min(point_segment_distance(p, e.a, e.b) for e in polygon_edges(vertices))
+def _ring_area(V: np.ndarray) -> float:
+    W = np.roll(V, -1, axis=0)
+    return 0.5 * float(np.sum(V[:, 0] * W[:, 1] - V[:, 1] * W[:, 0]))
 
 
-def validate_simple_polygon(vertices: Sequence[Point2], name: str) -> None:
+def validate_simple_polygon(vertices: Sequence[Point2], name: str) -> np.ndarray:
+    """Raise DomainInvalid unless the closed polygon is simple; return its
+    vertices as an (n, 2) array.
+
+    Every edge pair is classified at once; the first offending pair in
+    row-major order is reported.  Adjacent edges may share their vertex but
+    must not cross or overlap."""
     n = len(vertices)
     if n < 3:
         raise DomainInvalid(f"{name}: needs at least 3 vertices, got {n}")
-    for i in range(n):
-        if vertices[i].distance_to(vertices[(i + 1) % n]) <= EPS_GEOM:
-            raise DomainInvalid(f"{name}: repeated consecutive vertex at index {i}")
-    if abs(polygon_signed_area(vertices)) <= EPS_GEOM:
+    V = point_array(vertices)
+    W = np.roll(V, -1, axis=0)
+    short = np.nonzero(np.hypot(W[:, 0] - V[:, 0], W[:, 1] - V[:, 1]) <= EPS_GEOM)[0]
+    if short.size:
+        raise DomainInvalid(f"{name}: repeated consecutive vertex at index {short[0]}")
+    if abs(_ring_area(V)) <= EPS_GEOM:
         raise DomainInvalid(f"{name}: vanishing area")
-    edges = polygon_edges(vertices)
-    for i in range(n):
-        for j in range(i + 1, n):
-            adjacent = (j == i + 1) or (i == 0 and j == n - 1)
-            kind = classify_contact(edges[i], edges[j])
-            if kind == "cross":
-                raise DomainInvalid(f"{name}: edges {i} and {j} cross")
-            if kind == "overlap":
-                raise DomainInvalid(f"{name}: edges {i} and {j} overlap")
-            if adjacent:
-                continue
-            if kind != "disjoint":
-                raise DomainInvalid(f"{name}: edges {i} and {j} touch ({kind})")
+    kind = _batch.contacts(V, W, V, W, EPS_GEOM)
+    i, j = np.indices((n, n))
+    adjacent = (j == i + 1) | ((i == 0) & (j == n - 1))
+    allowed = (kind == _batch.DISJOINT) | (adjacent & np.isin(kind, (_batch.SHARED_ENDPOINT, _batch.TOUCH)))
+    i, j = np.nonzero((j > i) & ~allowed)
+    if i.size:
+        what = _batch.CONTACT_KINDS[kind[i[0], j[0]]]
+        if what not in ("cross", "overlap"):
+            what = f"touch ({what})"
+        raise DomainInvalid(f"{name}: edges {i[0]} and {j[0]} {what}")
+    return V
 
 
 # ---------------------------------------------------------------------------
@@ -321,107 +284,99 @@ class PlanarDomain:
         object.__setattr__(self, "outer", tuple(self.outer))
         object.__setattr__(self, "holes", tuple(tuple(h) for h in self.holes))
         object.__setattr__(self, "slits", tuple(self.slits))
-        validate_simple_polygon(self.outer, "outer")
-        if polygon_signed_area(self.outer) < 0:
+        O = validate_simple_polygon(self.outer, "outer")
+        if _ring_area(O) < 0:
             raise DomainInvalid("outer boundary must be counter-clockwise")
-        for h_idx, hole in enumerate(self.holes):
-            validate_simple_polygon(hole, f"hole[{h_idx}]")
-            if polygon_signed_area(hole) > 0:
-                raise DomainInvalid(f"hole[{h_idx}] must be clockwise")
-            for v in hole:
-                if not point_in_polygon(v, self.outer) or (
-                    polygon_boundary_distance(v, self.outer) <= EPS_GEOM
-                ):
+        # wall rings: the outer one, then the holes
+        rings = [O] + [point_array(h) for h in self.holes]
+        owner = np.repeat(np.arange(len(rings)), [len(R) for R in rings])
+        if self.holes:
+            # which rings have touching edges, found in one pass
+            WA = np.vstack(rings)
+            WB = np.vstack([np.roll(R, -1, axis=0) for R in rings])
+            e, f = np.nonzero(_batch.contacts(WA, WB, WA, WB, EPS_GEOM) != _batch.DISJOINT)
+            touching = np.zeros((len(rings), len(rings)), dtype=bool)
+            touching[owner[e], owner[f]] = True
+            for h_idx, hole in enumerate(self.holes):
+                H = validate_simple_polygon(hole, f"hole[{h_idx}]")
+                if _ring_area(H) > 0:
+                    raise DomainInvalid(f"hole[{h_idx}] must be clockwise")
+                on_b, inside = _batch.closure_parts(H, O, (), WA[: len(O)], WB[: len(O)], EPS_GEOM)
+                if not (inside & ~on_b).all():
                     raise DomainInvalid(f"hole[{h_idx}] not strictly inside the outer boundary")
-            for e in polygon_edges(hole):
-                for oe in polygon_edges(self.outer):
-                    if classify_contact(e, oe) != "disjoint":
-                        raise DomainInvalid(f"hole[{h_idx}] touches the outer boundary")
-        for i in range(len(self.holes)):
-            for j in range(i + 1, len(self.holes)):
-                for e in polygon_edges(self.holes[i]):
-                    for f in polygon_edges(self.holes[j]):
-                        if classify_contact(e, f) != "disjoint":
-                            raise DomainInvalid(f"holes {i} and {j} touch")
-        self._validate_slits()
+                if touching[0, h_idx + 1]:
+                    raise DomainInvalid(f"hole[{h_idx}] touches the outer boundary")
+            i, j = np.nonzero(np.triu(touching[1:, 1:], k=1))
+            if i.size:
+                raise DomainInvalid(f"holes {i[0]} and {j[0]} touch")
+        if self.slits:
+            self._validate_slits(rings, owner)
 
     # -- slit rules -------------------------------------------------------
 
-    def _validate_slits(self) -> None:
-        walls = polygon_edges(self.outer)
-        for hole in self.holes:
-            walls.extend(polygon_edges(hole))
-        for s_idx, slit in enumerate(self.slits):
-            for p in (slit.a, slit.b):
-                on_wall = any(point_segment_distance(p, w.a, w.b) <= EPS_GEOM for w in walls)
-                if not on_wall:
-                    if not point_in_polygon(p, self.outer):
-                        raise DomainInvalid(f"slit[{s_idx}] endpoint outside the domain")
-                    if any(point_in_polygon(p, h) for h in self.holes):
-                        raise DomainInvalid(f"slit[{s_idx}] endpoint inside a hole")
-            for w in walls:
-                kind = classify_contact(slit, w)
-                if kind in ("cross", "overlap"):
-                    raise DomainInvalid(f"slit[{s_idx}] {kind}es the boundary")
-                if kind == "touch":
-                    # T-contact: the touch point must be a slit endpoint, not
-                    # a slit-interior point pressed against the wall.
-                    a_on = point_segment_distance(slit.a, w.a, w.b) <= EPS_GEOM
-                    b_on = point_segment_distance(slit.b, w.a, w.b) <= EPS_GEOM
-                    if not (a_on or b_on):
-                        raise DomainInvalid(
-                            f"slit[{s_idx}] interior touches the boundary"
-                        )
-        for i in range(len(self.slits)):
-            for j in range(i + 1, len(self.slits)):
-                kind = classify_contact(self.slits[i], self.slits[j])
-                if kind in ("cross", "overlap", "touch"):
-                    raise DomainInvalid(f"slits {i} and {j} {kind}")
-        self._validate_connectivity(walls)
+    def _validate_slits(self, rings: list[np.ndarray], owner: np.ndarray) -> None:
+        """Each slit in order: its endpoints lie in the closure (on a wall or
+        in the open interior), and it meets the walls at most at its own
+        endpoints.  Then slit pairs may share endpoints only, and the slits
+        must not disconnect the open interior.  All pairs are classified at
+        once; the first offense in that order is reported.  ``owner`` gives
+        the ring (outer first, then the holes) of each wall edge."""
+        FA, FB = domain_arrays(self)[:2]
+        n_walls = len(owner)
+        WA, WB, SA, SB = FA[:n_walls], FB[:n_walls], FA[n_walls:], FB[n_walls:]
+        ends = np.stack([SA, SB], axis=1).reshape(-1, 2)  # a0, b0, a1, b1, ...
+        on_wall = _batch.point_seg_dists(ends, WA, WB) <= EPS_GEOM
+        free = ~on_wall.any(axis=1)
+        outside = free & ~_batch.points_in_polygon(ends, rings[0])
+        in_hole = np.any([_batch.points_in_polygon(ends, H) for H in rings[1:]], axis=0)
+        end_fault = np.where(outside, 1, np.where(free & in_hole, 2, 0)).reshape(-1, 2)
+        # each slit against the walls, then against the slits
+        kind, pair = np.split(_batch.contacts(SA, SB, FA, FB, EPS_GEOM), [n_walls], axis=1)
+        # a touch is a T-contact only at a slit endpoint, not at a slit-interior
+        # point pressed against the wall
+        at_end = on_wall[0::2] | on_wall[1::2]
+        wall_fault = (
+            (kind == _batch.CROSS) | (kind == _batch.OVERLAP) | ((kind == _batch.TOUCH) & ~at_end)
+        )
+        bad = end_fault.any(axis=1) | wall_fault.any(axis=1)
+        if bad.any():
+            s_idx = int(np.argmax(bad))
+            for fault in end_fault[s_idx]:
+                if fault == 1:
+                    raise DomainInvalid(f"slit[{s_idx}] endpoint outside the domain")
+                if fault == 2:
+                    raise DomainInvalid(f"slit[{s_idx}] endpoint inside a hole")
+            what = _batch.CONTACT_KINDS[kind[s_idx, np.argmax(wall_fault[s_idx])]]
+            if what == "touch":
+                raise DomainInvalid(f"slit[{s_idx}] interior touches the boundary")
+            raise DomainInvalid(f"slit[{s_idx}] {what}es the boundary")
+        i, j = np.nonzero(np.triu((pair != _batch.DISJOINT) & (pair != _batch.SHARED_ENDPOINT), k=1))
+        if i.size:
+            raise DomainInvalid(f"slits {i[0]} and {j[0]} {_batch.CONTACT_KINDS[pair[i[0], j[0]]]}")
 
-    def _validate_connectivity(self, walls: list[Segment2]) -> None:
-        """Slits must not disconnect the open interior.
-
-        Model the contact topology as a graph: slit endpoints are vertices
-        (merged when within tolerance), each boundary component is a single
-        vertex, each slit is an edge.  A cycle means some slit chain either
-        closes on itself or spans wall-to-wall; both cut the interior.
-        """
+        # Connectivity as a graph: slit endpoints are vertices (merged when
+        # within tolerance), each wall ring is a single vertex, each slit is
+        # an edge.  A cycle means some slit chain either closes on itself or
+        # spans wall-to-wall; both cut the interior.
         parent: dict[object, object] = {}
 
         def find(x: object) -> object:
-            parent.setdefault(x, x)
-            while parent[x] != x:
+            while parent.setdefault(x, x) != x:
                 parent[x] = parent[parent[x]]
                 x = parent[x]
             return x
 
-        def union(x: object, y: object) -> bool:
-            rx, ry = find(x), find(y)
-            if rx == ry:
-                return False
-            parent[rx] = ry
-            return True
-
-        outer_edges = polygon_edges(self.outer)
-        hole_edge_lists = [polygon_edges(h) for h in self.holes]
-
-        def endpoint_key(p: Point2) -> object:
-            return (round(p.x / (4 * EPS_GEOM)), round(p.y / (4 * EPS_GEOM)))
-
-        for slit in self.slits:
-            for p in (slit.a, slit.b):
-                key = endpoint_key(p)
-                if any(point_segment_distance(p, e.a, e.b) <= EPS_GEOM for e in outer_edges):
-                    union(key, "outer")
-                for h_idx, edges in enumerate(hole_edge_lists):
-                    if any(point_segment_distance(p, e.a, e.b) <= EPS_GEOM for e in edges):
-                        union(key, ("hole", h_idx))
-        for s_idx, slit in enumerate(self.slits):
-            if not union(endpoint_key(slit.a), endpoint_key(slit.b)):
+        keys = [(round(x / (4 * EPS_GEOM)), round(y / (4 * EPS_GEOM))) for x, y in ends.tolist()]
+        for key, hit in zip(keys, on_wall):
+            for ring in set(owner[hit].tolist()):
+                parent[find(key)] = find(("ring", ring))
+        for s_idx in range(len(self.slits)):
+            root_a, root_b = find(keys[2 * s_idx]), find(keys[2 * s_idx + 1])
+            if root_a == root_b:
                 raise DomainInvalid(
                     f"slit[{s_idx}] closes a cut: the open interior would be disconnected"
                 )
+            parent[root_a] = root_b
 
     # -- derived data -------------------------------------------------------
 
@@ -438,21 +393,38 @@ def _domain_features(domain: PlanarDomain) -> tuple[Segment2, ...]:
     return tuple(feats)
 
 
+def feature_arrays(
+    features: Sequence[Segment2],
+) -> tuple[np.ndarray, np.ndarray, list[tuple[float, float]]]:
+    """Start and end points of the features as (n, 2) arrays, and the
+    angles of each feature's two directions, a->b and b->a."""
+    directions = [f.direction() for f in features]
+    angles = [(math.atan2(d.y, d.x), math.atan2(-d.y, -d.x)) for d in directions]
+    return point_array([f.a for f in features]), point_array([f.b for f in features]), angles
+
+
+@lru_cache(maxsize=64)
+def domain_arrays(
+    domain: PlanarDomain,
+) -> tuple[np.ndarray, np.ndarray, list[tuple[float, float]], np.ndarray, tuple[np.ndarray, ...]]:
+    """:func:`feature_arrays` of the domain's boundary features (outer edges,
+    hole edges, slits), then its outer ring and its hole rings as (n, 2)
+    arrays."""
+    rings = (point_array(domain.outer), tuple(point_array(h) for h in domain.holes))
+    return (*feature_arrays(_domain_features(domain)), *rings)
+
+
 def contains(domain: PlanarDomain, p: Point2, eps: float = EPS_GEOM) -> Region:
     """Classify p against the closed domain: Interior / Boundary / Exterior.
 
     Points within eps of any boundary feature (outer edge, hole edge or slit)
     classify as Boundary.
     """
-    for f in domain.boundary_features():
-        if point_segment_distance(p, f.a, f.b) <= eps:
-            return Region.BOUNDARY
-    if not point_in_polygon(p, domain.outer):
-        return Region.EXTERIOR
-    for hole in domain.holes:
-        if point_in_polygon(p, hole):
-            return Region.EXTERIOR
-    return Region.INTERIOR
+    FA, FB, _, outer, holes = domain_arrays(domain)
+    on_b, inside = _batch.closure_parts(np.array([p.as_tuple()]), outer, holes, FA, FB, eps)
+    if on_b[0]:
+        return Region.BOUNDARY
+    return Region.INTERIOR if inside[0] else Region.EXTERIOR
 
 
 def wedges_from_rays(angles: Iterable[float]) -> list[tuple[float, float]]:
@@ -487,25 +459,36 @@ def _in_wedge(theta: float, wedge: tuple[float, float]) -> bool:
 
 
 def blocked_rays(
-    features: Iterable[Segment2], p: Point2, eps: float = EPS_GEOM
-) -> tuple[list[float], Segment2 | None]:
-    """Angles of the feature directions leaving p (both ways for a feature
-    whose interior passes through p), plus the first such feature."""
-    rays: list[float] = []
-    host: Segment2 | None = None
-    for f in features:
-        d = f.direction()
-        if p.distance_to(f.a) <= eps:
-            rays.append(math.atan2(d.y, d.x))
-        elif p.distance_to(f.b) <= eps:
-            rays.append(math.atan2(-d.y, -d.x))
-        elif point_segment_distance(p, f.a, f.b) <= eps:
-            th = math.atan2(d.y, d.x)
-            rays.append(th)
-            rays.append(th + math.pi)
-            if host is None:
-                host = f
-    return rays, host
+    P: np.ndarray,
+    FA: np.ndarray,
+    FB: np.ndarray,
+    angles: Sequence[tuple[float, float]],
+    eps: float = EPS_GEOM,
+) -> list[tuple[list[float], int | None]]:
+    """For each point P[i]: the angles of the feature directions leaving it
+    (both ways for a feature whose interior passes through it), and the
+    index of the first such feature, or None.
+
+    Features are given as by :func:`feature_arrays`.  One distance kernel
+    finds the features within eps of each point; only those few pairs are
+    visited in Python."""
+    rays: list[list[float]] = [[] for _ in range(len(P))]
+    host: list[int | None] = [None] * len(P)
+    ii, kk = np.nonzero(_batch.point_seg_dists(P, FA, FB) <= eps) if len(P) and len(FA) else ([], [])
+    if len(ii):
+        at_a = (np.hypot(P[ii, 0] - FA[kk, 0], P[ii, 1] - FA[kk, 1]) <= eps).tolist()
+        at_b = (np.hypot(P[ii, 0] - FB[kk, 0], P[ii, 1] - FB[kk, 1]) <= eps).tolist()
+        for i, k, end_a, end_b in zip(ii.tolist(), kk.tolist(), at_a, at_b):
+            fwd, back = angles[k]
+            if end_a:
+                rays[i].append(fwd)
+            elif end_b:
+                rays[i].append(back)
+            else:
+                rays[i] += (fwd, fwd + math.pi)
+                if host[i] is None:
+                    host[i] = k
+    return list(zip(rays, host))
 
 
 def _hint_angle(wall: Segment2, hint: Hint) -> float:
@@ -519,20 +502,66 @@ def _hint_angle(wall: Segment2, hint: Hint) -> float:
     return math.atan2(n.y, n.x)
 
 
-def _slit_at(domain: PlanarDomain, p: Point2, eps: float) -> tuple[Segment2 | None, bool]:
-    """Slit containing p, plus whether p sits on the slit interior."""
-    for slit in domain.slits:
-        if point_segment_distance(p, slit.a, slit.b) <= eps:
-            at_end = p.distance_to(slit.a) <= eps or p.distance_to(slit.b) <= eps
-            return slit, not at_end
-    return None, False
-
-
 def free_wedges(domain: PlanarDomain, p: Point2, eps: float = EPS_GEOM) -> list[tuple[float, float]]:
     """Angular intervals (start, span) of directions not blocked at boundary
     point p, starts in [0, 2*pi) in increasing order.  An unconstrained
     point yields one full turn."""
-    return wedges_from_rays(blocked_rays(domain.boundary_features(), p, eps)[0])
+    return wedges_from_rays(blocked_rays(np.array([p.as_tuple()]), *domain_arrays(domain)[:3], eps)[0][0])
+
+
+def inward_offsets(
+    domain: PlanarDomain,
+    p: Point2,
+    deltas: Sequence[float],
+    hint: Hint | None = None,
+    eps: float = EPS_GEOM,
+) -> list[tuple[Point2, ...]]:
+    """Interior representatives of boundary point p at each distance in
+    deltas, one tuple per interior face that p borders.
+
+    A representative lies on the bisector of a free wedge at p, in the open
+    interior, and its step from p crosses no boundary feature.  Without a
+    hint, each wedge that gives one at every delta is a face (a slit-wall
+    junction borders two).  A point on a slit interior needs a hint, which
+    keeps the wedges holding that side's normal of the first slit through p.
+    With a hint, or when no wedge serves every delta, there is one tuple: at
+    each delta, the first wedge that serves it.
+    """
+    if min(deltas) <= 0.0:
+        raise OffsetFailed("offset distance must be positive")
+    FA, FB, angles = domain_arrays(domain)[:3]
+    P = np.array([p.as_tuple()])
+    (rays, host), = blocked_rays(P, FA, FB, angles, eps)
+    n_walls = len(FA) - len(domain.slits)
+    if hint is None and host is not None and host >= n_walls:
+        raise MissingHint(f"point ({p.x}, {p.y}) lies on a slit; side hint required")
+    wedges = wedges_from_rays(rays)
+    if hint is not None:
+        on_slit = np.nonzero(_batch.point_seg_dists(P, FA[n_walls:], FB[n_walls:])[0] <= eps)[0]
+        if on_slit.size:
+            preferred = _hint_angle(domain.slits[on_slit[0]], hint)
+            wedges = [w for w in wedges if _in_wedge(preferred, w)] or [(preferred, 0.0)]
+
+    def along(theta: float, delta: float) -> Point2 | None:
+        q = Point2(p.x + delta * math.cos(theta), p.y + delta * math.sin(theta))
+        if contains(domain, q, eps) is not Region.INTERIOR:
+            return None
+        if _batch.cross_matrix(P[0], np.array([q.as_tuple()]), FA, FB, EPS_GEOM).any():
+            return None
+        return q
+
+    faces = [tuple(along(w[0] + 0.5 * w[1], d) for d in deltas) for w in wedges]
+    whole = [f for f in faces if None not in f]
+    if hint is None and whole:
+        return whole
+    # at each delta, the first wedge that serves it
+    firsts = [next((q for q in column if q is not None), None) for column in zip(*faces)]
+    if None in firsts:
+        raise OffsetFailed(
+            f"no interior point within {deltas[firsts.index(None)]} of ({p.x}, {p.y}); "
+            "offset larger than the local feature size?"
+        )
+    return [tuple(firsts)]
 
 
 def inward_offset(
@@ -542,41 +571,13 @@ def inward_offset(
     hint: Hint | None = None,
     eps: float = EPS_GEOM,
 ) -> Point2:
-    """Interior point at distance delta from boundary point p.
+    """Interior point at distance delta from boundary point p, in the first
+    free wedge whose bisector leads into the interior.
 
     For points on a slit interior the side is ambiguous and ``hint`` must be
     "left" or "right" (relative to the slit's stored a->b direction).
     """
-    if delta <= 0.0:
-        raise OffsetFailed("offset distance must be positive")
-    slit, on_interior = _slit_at(domain, p, eps)
-    if on_interior and hint is None:
-        raise MissingHint(f"point ({p.x}, {p.y}) lies on a slit; side hint required")
-    wedges = free_wedges(domain, p, eps)
-    if not wedges:
-        raise OffsetFailed(f"no free direction at ({p.x}, {p.y})")
-
-    if hint is not None and slit is not None:
-        preferred = _hint_angle(slit, hint)
-        candidates = [w[0] + 0.5 * w[1] for w in wedges if _in_wedge(preferred, w)]
-        if not candidates:
-            candidates.append(preferred)
-    else:
-        candidates = [w[0] + 0.5 * w[1] for w in wedges]
-
-    feats = domain.boundary_features()
-    for theta in candidates:
-        q = Point2(p.x + delta * math.cos(theta), p.y + delta * math.sin(theta))
-        if contains(domain, q, eps) is not Region.INTERIOR:
-            continue
-        probe = Segment2(p, q)
-        if any(properly_cross(probe, f) for f in feats):
-            continue
-        return q
-    raise OffsetFailed(
-        f"no interior point within {delta} of ({p.x}, {p.y}); "
-        "offset larger than the local feature size?"
-    )
+    return inward_offsets(domain, p, (delta,), hint, eps)[0][0]
 
 
 @dataclass(frozen=True)

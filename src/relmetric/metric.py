@@ -20,6 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import SceneInvalid, SpecInvalid, UnreachableError
+from . import _batch
 from .geom import (
     EPS_GEOM,
     PlanarDomain,
@@ -27,8 +28,8 @@ from .geom import (
     Polyline,
     Region,
     contains,
-    inward_offset,
-    point_segment_distance,
+    domain_arrays,
+    inward_offsets,
 )
 from .visibility import ObstacleScene, PathResult, PreparedScene
 
@@ -96,30 +97,46 @@ def _representatives(
     t: Point2,
     hint: str | None,
     offsets: Sequence[float],
-) -> tuple[Point2, ...]:
+) -> list[tuple[Point2, ...]]:
+    """Interior representatives of t at each offset, one tuple per interior
+    face t borders (see :func:`inward_offsets`); t itself when interior."""
     region = contains(domain, t)
     if region is Region.EXTERIOR:
         raise SceneInvalid(f"point ({t.x}, {t.y}) lies outside the domain closure")
     if region is Region.INTERIOR:
-        return tuple(t for _ in offsets)
-    return tuple(inward_offset(domain, t, d, hint) for d in offsets)
+        return [tuple(t for _ in offsets)]
+    return inward_offsets(domain, t, offsets, hint)
 
 
-def _pair_lengths(
+def _estimate(
     engine: PreparedScene,
-    reps_x: Sequence[Point2],
-    reps_y: Sequence[Point2],
-) -> list[float]:
+    faces_x: Sequence[tuple[Point2, ...]],
+    faces_y: Sequence[tuple[Point2, ...]],
+    cfg: MetricConfig,
+) -> DistanceEstimate:
+    """The estimate over the pair of faces with the smallest value (the
+    first such pair on ties): a point where several interior faces meet is
+    as near as its nearest face."""
     # interior points repeat the same representative at every offset; skip
     # re-solving identical pairs
     cache: dict[tuple, float] = {}
-    lengths = []
-    for rx, ry in zip(reps_x, reps_y):
-        key = (rx.as_tuple(), ry.as_tuple())
-        if key not in cache:
-            cache[key] = engine.shortest_path(rx, ry).length
-        lengths.append(cache[key])
-    return lengths
+    best: DistanceEstimate | None = None
+    for reps_x in faces_x:
+        for reps_y in faces_y:
+            lengths = []
+            for rx, ry in zip(reps_x, reps_y):
+                key = (rx.as_tuple(), ry.as_tuple())
+                if key not in cache:
+                    cache[key] = engine.shortest_path(rx, ry).length
+                lengths.append(cache[key])
+            est = DistanceEstimate(
+                _extrapolate(lengths, cfg),
+                tuple(zip(cfg.offsets, lengths)),
+                _converged(lengths, cfg),
+            )
+            if best is None or est.value < best.value:
+                best = est
+    return best
 
 
 def _extrapolate(lengths: Sequence[float], cfg: MetricConfig) -> float:
@@ -165,20 +182,17 @@ def rho(
     side hint because the two faces genuinely differ.  Unreachable pairs give
     value ``inf`` (a result, not an error)."""
     cfg = cfg or MetricConfig()
-    reps_x = _representatives(domain, x, hint_x, cfg.offsets)
-    reps_y = _representatives(domain, y, hint_y, cfg.offsets)
-    engine = _engine(domain)
-    lengths = _pair_lengths(engine, reps_x, reps_y)
-    value = _extrapolate(lengths, cfg)
-    converged = _converged(lengths, cfg)
-    if warn and not converged:
+    faces_x = _representatives(domain, x, hint_x, cfg.offsets)
+    faces_y = _representatives(domain, y, hint_y, cfg.offsets)
+    est = _estimate(_engine(domain), faces_x, faces_y, cfg)
+    if warn and not est.converged:
         warnings.warn(
             f"offset schedule did not converge for ({x.x}, {x.y})-({y.x}, {y.y}): "
-            f"lengths {lengths}",
+            f"lengths {[length for _, length in est.per_offset]}",
             RuntimeWarning,
             stacklevel=2,
         )
-    return DistanceEstimate(value, tuple(zip(cfg.offsets, lengths)), converged)
+    return est
 
 
 def distance_matrix(
@@ -203,14 +217,7 @@ def distance_matrix(
     out: list[list[DistanceEstimate]] = [[zero] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            lengths = _pair_lengths(engine, reps[i], reps[j])
-            est = DistanceEstimate(
-                _extrapolate(lengths, cfg),
-                tuple(zip(cfg.offsets, lengths)),
-                _converged(lengths, cfg),
-            )
-            out[i][j] = est
-            out[j][i] = est
+            out[i][j] = out[j][i] = _estimate(engine, reps[i], reps[j], cfg)
     return out
 
 
@@ -303,8 +310,8 @@ def extract_geodesic(
     cfg = cfg or MetricConfig()
     grid = max(grid, 10)
     d_min = cfg.offsets[-1]
-    rx = _representatives(domain, x, hint_x, (d_min,))[0]
-    ry = _representatives(domain, y, hint_y, (d_min,))[0]
+    rx = _representatives(domain, x, hint_x, (d_min,))[0][0]
+    ry = _representatives(domain, y, hint_y, (d_min,))[0][0]
     engine = _engine(domain)
     res = engine.shortest_path(rx, ry)
     if not res.reached or res.path is None:
@@ -344,36 +351,16 @@ def _min_clearance_section(
     total = path.length()
     lo, hi = eta, total - eta
     cum = path.cumulative_lengths()
-    feats = domain.boundary_features()
-    best = math.inf
-    best_pt = path.vertices[0]
-    for i in range(len(cum) - 1):
-        a, b = cum[i], cum[i + 1]
-        left = max(a, lo)
-        right = min(b, hi)
-        if right <= left:
-            continue
-        p = path.point_at(left)
-        q = path.point_at(right)
-        # sample the clipped sub-segment densely enough for a polyline vs
-        # polygon clearance check; distance along a segment to a segment is
-        # piecewise smooth with one interior minimum, so endpoint+midpoint
-        # sampling with refinement is reliable here
-        for f in feats:
-            d_end = min(
-                point_segment_distance(p, f.a, f.b),
-                point_segment_distance(q, f.a, f.b),
-            )
-            steps = 8
-            d_seg = d_end
-            for k in range(steps + 1):
-                tpar = k / steps
-                m = Point2(p.x + tpar * (q.x - p.x), p.y + tpar * (q.y - p.y))
-                d_seg = min(d_seg, point_segment_distance(m, f.a, f.b))
-            if d_seg < best:
-                best = d_seg
-                best_pt = path.point_at(0.5 * (left + right))
-    return best, best_pt
+    spans = [(max(a, lo), min(b, hi)) for a, b in zip(cum, cum[1:])]
+    spans = [(left, right) for left, right in spans if right > left]
+    if not spans:
+        return math.inf, path.vertices[0]
+    ends = np.array([[path.point_at(left).as_tuple(), path.point_at(right).as_tuple()] for left, right in spans])
+    FA, FB = domain_arrays(domain)[:2]
+    pairs = np.broadcast_arrays(ends[:, None, 0], ends[:, None, 1], FA[None], FB[None])
+    dist = _batch.seg_pair_dists(*pairs).min(axis=1)
+    k = int(np.argmin(dist))
+    return float(dist[k]), path.point_at(0.5 * sum(spans[k]))
 
 
 def check_strict_convexity(

@@ -23,14 +23,13 @@ from .geom import (
     PlanarDomain,
     Point2,
     Polyline,
-    Region,
     Segment2,
     _hint_angle,
     _in_wedge,
     blocked_rays,
-    collinear_overlap,
-    contains,
-    properly_cross,
+    domain_arrays,
+    feature_arrays,
+    point_array,
     wedges_from_rays,
 )
 
@@ -53,32 +52,32 @@ class ObstacleScene:
         self._validate()
 
     def _validate(self) -> None:
+        """Segments must not cross or overlap each other (all crossings are
+        reported before any overlap), and each must stay in the domain
+        closure without crossing or overlapping its boundary.  All pairs are
+        classified at once; the first offense in that order is reported."""
         segs = self.segments
-        n = len(segs)
-        if n > 1:
-            A = np.array([s.a.as_tuple() for s in segs])
-            B = np.array([s.b.as_tuple() for s in segs])
-            for i in range(n - 1):
-                crossing = _batch.cross_matrix(A[i], np.array([B[i]]), A[i + 1 :], B[i + 1 :], EPS_GEOM)[0]
-                hits = np.nonzero(crossing)[0]
-                if hits.size:
-                    j = int(hits[0]) + i + 1
-                    raise SceneInvalid(f"obstacle segments {i} and {j} cross")
-            for i in range(n - 1):
-                for j in range(i + 1, n):
-                    if collinear_overlap(segs[i], segs[j]):
-                        raise SceneInvalid(f"obstacle segments {i} and {j} overlap")
-        if self.boundary is not None:
-            feats = self.boundary.boundary_features()
-            for i, s in enumerate(segs):
-                for p in (s.a, s.b):
-                    if contains(self.boundary, p) is Region.EXTERIOR:
-                        raise SceneInvalid(f"obstacle segment {i} leaves the domain")
-                for f in feats:
-                    if properly_cross(s, f):
-                        raise SceneInvalid(f"obstacle segment {i} crosses the domain boundary")
-                    if collinear_overlap(s, f):
-                        raise SceneInvalid(f"obstacle segment {i} overlaps the domain boundary")
+        A, B = point_array([s.a for s in segs]), point_array([s.b for s in segs])
+        kind = np.triu(_batch.contacts(A, B, A, B, EPS_GEOM), k=1)
+        for code in (_batch.CROSS, _batch.OVERLAP):
+            i, j = np.nonzero(kind == code)
+            if i.size:
+                raise SceneInvalid(f"obstacle segments {i[0]} and {j[0]} {_batch.CONTACT_KINDS[code]}")
+        if self.boundary is None:
+            return
+        FA, FB, _, outer, holes = domain_arrays(self.boundary)
+        ends = np.stack([A, B], axis=1).reshape(-1, 2)
+        on_b, inside = _batch.closure_parts(ends, outer, holes, FA, FB, EPS_GEOM)
+        leaves = (~(on_b | inside)).reshape(-1, 2).any(axis=1)
+        kind = _batch.contacts(A, B, FA, FB, EPS_GEOM)
+        hits = (kind == _batch.CROSS) | (kind == _batch.OVERLAP)
+        bad = leaves | hits.any(axis=1)
+        if bad.any():
+            i = int(np.argmax(bad))
+            if leaves[i]:
+                raise SceneInvalid(f"obstacle segment {i} leaves the domain")
+            what = "crosses" if kind[i, np.argmax(hits[i])] == _batch.CROSS else "overlaps"
+            raise SceneInvalid(f"obstacle segment {i} {what} the domain boundary")
 
     @classmethod
     def from_domain(cls, domain: PlanarDomain) -> "ObstacleScene":
@@ -161,17 +160,6 @@ def _wedges_share_interior(
     return False
 
 
-def _dedup_positions(points: list[Point2]) -> tuple[list[Point2], dict[tuple[float, float], int]]:
-    index: dict[tuple[float, float], int] = {}
-    out: list[Point2] = []
-    for p in points:
-        key = p.as_tuple()
-        if key not in index:
-            index[key] = len(out)
-            out.append(p)
-    return out, index
-
-
 def circumscribed_polygon(r_min: float, m: int) -> tuple[Point2, ...]:
     """Regular m-gon circumscribed about the circle of radius r_min, with an
     edge tangent at angle zero.  The polygon contains the disk, so keeping
@@ -238,80 +226,39 @@ class PreparedScene:
             fv = list(floor)
             feats.extend(Segment2(fv[i], fv[(i + 1) % len(fv)]) for i in range(len(fv)))
         self.features: tuple[Segment2, ...] = tuple(feats)
-        endpoint_list: list[Point2] = []
-        for f in self.features:
-            endpoint_list.append(f.a)
-            endpoint_list.append(f.b)
-        self.base_points, self._pos_index = _dedup_positions(endpoint_list)
+        self.base_points = list(dict.fromkeys(p for f in self.features for p in (f.a, f.b)))
+        self._pos_index = {p: i for i, p in enumerate(self.base_points)}
         self._n = len(self.base_points)
-        if self.features:
-            self._FA = np.array([f.a.as_tuple() for f in self.features])
-            self._FB = np.array([f.b.as_tuple() for f in self.features])
-        else:
-            self._FA = np.zeros((0, 2))
-            self._FB = np.zeros((0, 2))
-        self._P = (
-            np.array([p.as_tuple() for p in self.base_points])
-            if self._n
-            else np.zeros((0, 2))
-        )
+        self._FA, self._FB, self._angles = feature_arrays(self.features)
+        self._P = point_array(self.base_points)
         # region-mask inputs; the floor edges follow the scene's own features,
         # and their starts are the floor polygon
-        dom = scene.boundary
-        self._outer = None if dom is None else np.array([p.as_tuple() for p in dom.outer])
-        self._holes = [] if dom is None else [np.array([p.as_tuple() for p in h]) for h in dom.holes]
+        self._rings = None if scene.boundary is None else domain_arrays(scene.boundary)[3:]
         self._walls = slice(0, n_walls)
         self._floor_edges = slice(n_walls, len(feats))
-        self._node_wedges: list[list[tuple[float, float]]] = self._compute_wedges()
+        self._node_wedges: list[list[tuple[float, float]]] = []
+        for p, (rays, _) in zip(self.base_points, blocked_rays(self._P, self._FA, self._FB, self._angles)):
+            wedges = wedges_from_rays(rays)
+            self._node_wedges.append(self._viable_wedges(p, wedges) if len(wedges) > 1 else wedges)
         self._nbrs: dict[int, list[int]] = {}
 
     # -- static structure --------------------------------------------------
 
-    def _compute_wedges(self) -> list[list[tuple[float, float]]]:
-        rays: list[list[float]] = [[] for _ in range(self._n)]
-        for f in self.features:
-            ia = self._pos_index[f.a.as_tuple()]
-            ib = self._pos_index[f.b.as_tuple()]
-            d = f.direction()
-            rays[ia].append(math.atan2(d.y, d.x))
-            rays[ib].append(math.atan2(-d.y, -d.x))
-        if self._n and len(self.features):
-            dists = _batch.point_seg_dists(self._P, self._FA, self._FB)
-            near = dists <= EPS_GEOM
-            for i in range(self._n):
-                p = self.base_points[i]
-                for k in np.nonzero(near[i])[0]:
-                    f = self.features[int(k)]
-                    if p.distance_to(f.a) <= EPS_GEOM or p.distance_to(f.b) <= EPS_GEOM:
-                        continue
-                    d = f.direction()
-                    th = math.atan2(d.y, d.x)
-                    rays[i].append(th)
-                    rays[i].append(th + math.pi)
-        out: list[list[tuple[float, float]]] = []
-        for i in range(self._n):
-            wedges = wedges_from_rays(rays[i])
-            if len(wedges) > 1:
-                wedges = self._viable_wedges(self.base_points[i], wedges)
-            out.append(wedges)
-        return out
+    def _closure_mask(self, pts: np.ndarray) -> np.ndarray:
+        """Which of the points lie in the domain closure (wall contact
+        allowed)."""
+        w = self._walls
+        on_b, inside = _batch.closure_parts(pts, *self._rings, self._FA[w], self._FB[w], EPS_GEOM)
+        return on_b | inside
 
     def _region_mask(self, pts: np.ndarray) -> np.ndarray:
         """Which of the points may lie on a path: inside the domain closure
-        (wall contact allowed) and not strictly inside the floor polygon."""
-        ok = np.ones(len(pts), dtype=bool)
-        if self._outer is not None:
-            inside = _batch.points_in_polygon(pts, self._outer)
-            for hole in self._holes:
-                inside &= ~_batch.points_in_polygon(pts, hole)
-            w = self._walls
-            on_b = _batch.point_seg_dists(pts, self._FA[w], self._FB[w]).min(axis=1) <= EPS_GEOM
-            ok &= inside | on_b
+        and not strictly inside the floor polygon."""
+        ok = np.ones(len(pts), dtype=bool) if self._rings is None else self._closure_mask(pts)
         if self.floor is not None:
             fa, fb = self._FA[self._floor_edges], self._FB[self._floor_edges]
-            strictly_in = _batch.points_in_polygon(pts, fa)
-            on_floor = _batch.point_seg_dists(pts, fa, fb).min(axis=1) <= EPS_GEOM
-            ok &= ~(strictly_in & ~on_floor)
+            on_floor, in_floor = _batch.closure_parts(pts, fa, (), fa, fb, EPS_GEOM)
+            ok &= on_floor | ~in_floor
         return ok
 
     def _viable_wedges(
@@ -320,15 +267,9 @@ class PreparedScene:
         """Drop wedge copies whose interior lies outside the allowed region
         (the solid side of a wall, the inside of the floor polygon).  Without
         this, a path could ride a wall straight through a slit junction."""
-        keep = []
-        for w in wedges:
-            th = w[0] + 0.5 * w[1]
-            q = np.array(
-                [[p.x + PROBE_DELTA * math.cos(th), p.y + PROBE_DELTA * math.sin(th)]]
-            )
-            if self._region_mask(q)[0]:
-                keep.append(w)
-        return keep
+        mids = np.array([w[0] + 0.5 * w[1] for w in wedges])
+        probes = np.stack([p.x + PROBE_DELTA * np.cos(mids), p.y + PROBE_DELTA * np.sin(mids)], axis=1)
+        return [w for w, ok in zip(wedges, self._region_mask(probes).tolist()) if ok]
 
     # -- lazy visibility ----------------------------------------------------
 
@@ -365,19 +306,20 @@ class PreparedScene:
     def _snap(self, t: Point2) -> int | None:
         """The base node at t: an exact position match, else the first base
         node within EPS_GEOM."""
-        idx = self._pos_index.get(t.as_tuple())
+        idx = self._pos_index.get(t)
         if idx is None:
             near = np.nonzero(np.hypot(self._P[:, 0] - t.x, self._P[:, 1] - t.y) <= EPS_GEOM)[0]
             idx = int(near[0]) if near.size else None
         return idx
 
-    def _terminal_wedges(self, p: Point2, hint: str | None, label: str) -> list[tuple[float, float]]:
-        rays, host = blocked_rays(self.features, p)
+    def _terminal_wedges(
+        self, p: Point2, rays: list[float], host: int | None, hint: str | None, label: str
+    ) -> list[tuple[float, float]]:
         wedges = wedges_from_rays(rays)
         if host is None or len(wedges) < 2:
             return wedges
         if hint is not None:
-            th = _hint_angle(host, hint)
+            th = _hint_angle(self.features[host], hint)
             chosen = [w for w in wedges if _in_wedge(th, w)]
             return chosen or wedges
         viable = self._viable_wedges(p, wedges)
@@ -399,21 +341,27 @@ class PreparedScene:
         hint_a: str | None = None,
         hint_b: str | None = None,
     ) -> PathResult:
-        if self.scene.boundary is not None:
-            for label, t in (("a", a), ("b", b)):
-                if contains(self.scene.boundary, t) is Region.EXTERIOR:
+        if self._rings is not None:
+            inside = self._closure_mask(np.array([a.as_tuple(), b.as_tuple()]))
+            for label, ok in zip("ab", inside.tolist()):
+                if not ok:
                     raise SceneInvalid(f"terminal {label} lies outside the domain")
         n = self._n
         start, goal = self._snap(a), self._snap(b)
         # off-node terminals are nodes n (a) and n + 1 (b) of this query
         points = self.base_points + [a, b]
         node_wedges = self._node_wedges + [[], []]
-        if start is None:
-            start = n
-            node_wedges[n] = self._terminal_wedges(a, hint_a, "a")
+        off = [(n, a, hint_a, "a")] if start is None else []
         if goal is None:
-            goal = n + 1
-            node_wedges[n + 1] = self._terminal_wedges(b, hint_b, "b")
+            off.append((n + 1, b, hint_b, "b"))
+        if off:
+            P = np.array([t.as_tuple() for _, t, _, _ in off])
+            for (idx, t, hint, label), (rays, host) in zip(
+                off, blocked_rays(P, self._FA, self._FB, self._angles)
+            ):
+                node_wedges[idx] = self._terminal_wedges(t, rays, host, hint, label)
+        start = n if start is None else start
+        goal = n + 1 if goal is None else goal
 
         if a.distance_to(b) <= EPS_GEOM:
             # a graph node (wall vertex or segment end) is one point; two

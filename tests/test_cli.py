@@ -345,7 +345,31 @@ def test_compare_has_no_offset_flags(tmp_path, capsys):
         assert exc.value.code == 1
 
 
+def test_check_closure_commands_have_no_offset_settings(tmp_path, capsys):
+    # convexity, circ and ambient use the closure evaluation
+    sq = write_scene(tmp_path, "a.json", square_scene())
+    for what in ("convexity", "circ", "ambient"):
+        for flag, value in (("--offsets", "0.1"), ("--extrapolation", "richardson")):
+            capsys.readouterr()
+            assert main(["check", what, sq, flag, value]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # -- usage errors ---------------------------------------------------------------------
+
+
+def test_malformed_offsets_are_usage_errors(tmp_path, capsys):
+    sq = write_scene(tmp_path, "a.json", square_scene())
+    commands = (["dist", sq, "sw", "ne"], ["matrix", sq], ["check", "metric", sq])
+    for argv in commands:
+        for value in ("abc", "0.1,abc"):
+            capsys.readouterr()
+            assert main(argv + ["--offsets", value]) == 1
+            out = capsys.readouterr()
+            assert out.out == ""
+            assert out.err.startswith("error: ") and out.err.count("\n") == 1
+            assert "Traceback" not in out.err
 
 
 def test_unknown_subcommand_exits_1(capsys):

@@ -1,10 +1,21 @@
 """Primitives, polygon validation, slit rules and inward offsets."""
 import math
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relmetric import _batch
+from relmetric.constructions import (
+    CombSpec,
+    SpiralSpec,
+    clipped_family_scene,
+    comb_domain,
+    random_slit_domain,
+    spiral_labyrinth,
+)
 from relmetric.errors import DomainInvalid, MissingHint, OffsetFailed
 from relmetric.geom import (
     EPS_GEOM,
@@ -13,15 +24,18 @@ from relmetric.geom import (
     Polyline,
     Region,
     Segment2,
-    classify_contact,
+    blocked_rays,
     contains,
+    feature_arrays,
     free_wedges,
     inward_offset,
+    orientation,
     point_segment_distance,
     polygon_signed_area,
     properly_cross,
     segment_segment_distance,
 )
+from relmetric.visibility import ObstacleScene, PreparedScene, circumscribed_polygon
 
 UNIT_SQUARE = [Point2(0, 0), Point2(1, 0), Point2(1, 1), Point2(0, 1)]
 
@@ -30,6 +44,12 @@ coords = st.floats(min_value=-50, max_value=50, allow_nan=False, allow_infinity=
 
 def pt(x, y):
     return Point2(x, y)
+
+
+def contact(s, t):
+    """Contact kind of one segment pair, from the batched kernel."""
+    ends = [np.array([p.as_tuple()]) for p in (s.a, s.b, t.a, t.b)]
+    return _batch.CONTACT_KINDS[_batch.contacts(*ends, EPS_GEOM)[0, 0]]
 
 
 # -- primitives -------------------------------------------------------------
@@ -82,8 +102,52 @@ def test_proper_crossing_vs_touching():
     assert properly_cross(s, Segment2(pt(1, -1), pt(1, 1)))
     # endpoint touch is contact, not a proper crossing
     assert not properly_cross(s, Segment2(pt(2, 0), pt(3, 1)))
-    assert classify_contact(s, Segment2(pt(2, 0), pt(3, 1))) != "disjoint"
-    assert classify_contact(s, Segment2(pt(0, 1), pt(2, 1))) == "disjoint"
+    assert contact(s, Segment2(pt(2, 0), pt(3, 1))) != "disjoint"
+    assert contact(s, Segment2(pt(0, 1), pt(2, 1))) == "disjoint"
+
+
+def reference_contact(s, t, eps=EPS_GEOM):
+    """The contact rules pair by pair, from the scalar predicates."""
+    if properly_cross(s, t, eps):
+        return "cross"
+    collinear = (
+        orientation(s.a, s.b, t.a, eps)
+        == orientation(s.a, s.b, t.b, eps)
+        == orientation(t.a, t.b, s.a, eps)
+        == orientation(t.a, t.b, s.b, eps)
+        == 0
+    )
+    if collinear:
+        d = s.b - s.a
+        p1, p2 = (t.a - s.a).dot(d), (t.b - s.a).dot(d)
+        if min(d.dot(d), max(p1, p2)) - max(0.0, min(p1, p2)) > eps * d.norm():
+            return "overlap"
+    if segment_segment_distance(s, t, eps) > eps:
+        return "disjoint"
+    if any(p.distance_to(q) <= eps for p in (s.a, s.b) for q in (t.a, t.b)):
+        return "shared-endpoint"
+    return "touch"
+
+
+def test_contact_kernel_matches_the_scalar_rules():
+    # endpoints on a coarse grid make touching, collinear and shared-endpoint
+    # pairs common
+    rng = random.Random(11)
+    grid = [i / 4 for i in range(5)]
+    segs = []
+    while len(segs) < 60:
+        a, b = pt(rng.choice(grid), rng.choice(grid)), pt(rng.choice(grid), rng.choice(grid))
+        if a != b:
+            segs.append(Segment2(a, b))
+    A = np.array([s.a.as_tuple() for s in segs])
+    B = np.array([s.b.as_tuple() for s in segs])
+    kinds = _batch.contacts(A, B, A, B, EPS_GEOM)
+    seen = set()
+    for i, s in enumerate(segs):
+        for j, t in enumerate(segs):
+            seen.add(reference_contact(s, t))
+            assert _batch.CONTACT_KINDS[kinds[i, j]] == reference_contact(s, t)
+    assert seen == set(_batch.CONTACT_KINDS)
 
 
 # -- polygons and domains ---------------------------------------------------
@@ -224,3 +288,55 @@ def test_offset_interior_from_any_wall_point(t):
     q = inward_offset(d, pt(t, 0.0), 1e-3)
     assert contains(d, q) is Region.INTERIOR
     assert abs(q.x - t) <= 1e-3 + EPS_GEOM
+
+
+# -- blocked rays: the array routine against the per-feature loop -------------
+
+
+def reference_blocked_rays(features, p, eps=EPS_GEOM):
+    """Per-feature loop: the ray angles leaving p and the index of the first
+    feature whose interior passes through p."""
+    rays, host = [], None
+    for k, f in enumerate(features):
+        d = f.direction()
+        if p.distance_to(f.a) <= eps:
+            rays.append(math.atan2(d.y, d.x))
+        elif p.distance_to(f.b) <= eps:
+            rays.append(math.atan2(-d.y, -d.x))
+        elif point_segment_distance(p, f.a, f.b) <= eps:
+            th = math.atan2(d.y, d.x)
+            rays += [th, th + math.pi]
+            if host is None:
+                host = k
+    return rays, host
+
+
+def _ray_scenes():
+    r_min = 4.0 * 2.0**-3
+    yield PreparedScene(clipped_family_scene(range(1, 4)), floor=circumscribed_polygon(r_min, 256))
+    yield PreparedScene(ObstacleScene.from_domain(comb_domain(CombSpec(8))))
+    yield PreparedScene(spiral_labyrinth(SpiralSpec(1.0, 3, 1e-3, 64)).scene)
+    for seed in range(3):
+        yield PreparedScene(ObstacleScene.from_domain(random_slit_domain(seed)))
+
+
+def test_blocked_rays_match_the_per_feature_loop():
+    rng = random.Random(3)
+    for engine in _ray_scenes():
+        feats = engine.features
+        points = list(engine.base_points)
+        # wall and slit interiors at seeded positions; junctions are base nodes
+        for f in rng.sample(feats, min(40, len(feats))):
+            t = rng.uniform(0.05, 0.95)
+            points.append(pt(f.a.x + t * (f.b.x - f.a.x), f.a.y + t * (f.b.y - f.a.y)))
+        FA, FB, angles = feature_arrays(feats)
+        got = blocked_rays(np.array([p.as_tuple() for p in points]), FA, FB, angles)
+        for p, (rays, host) in zip(points, got):
+            ref_rays, ref_host = reference_blocked_rays(feats, p)
+            assert sorted(rays) == sorted(ref_rays)
+            assert host == ref_host
+    # features crossing at a point (valid scenes keep them apart): the host
+    # is the first whose interior holds it
+    feats = [Segment2(pt(0, 0), pt(2, 2)), Segment2(pt(-1, 0), pt(1, 0)), Segment2(pt(0, -1), pt(0, 1))]
+    (rays, host), = blocked_rays(np.array([[0.0, 0.0]]), *feature_arrays(feats))
+    assert (sorted(rays), host) == (sorted(reference_blocked_rays(feats, pt(0, 0))[0]), 1)

@@ -116,6 +116,21 @@ def test_slit_point_requires_hint(slit_dom):
         rho(slit_dom, P(1.0, 1.0), P(1.5, 1.0))
 
 
+def test_unhinted_junction_takes_the_nearer_face():
+    # x is where the slit meets the left wall: it borders the faces above
+    # and below the slit, and the distance is the nearer of the two
+    dom = PlanarDomain(UNIT.outer, slits=(Segment2(P(0, 0.5), P(0.6, 0.5)),))
+    x = P(0, 0.5)
+    cfg = MetricConfig()
+    for y in (P(0.3, 0.6), P(0.3, 0.4)):
+        exact = closure_distance(dom, x, y).length
+        assert exact == pytest.approx(math.hypot(0.3, 0.1), abs=1e-12)
+        assert abs(rho(dom, x, y).value - exact) <= cfg.tol_metric
+        assert abs(rho(dom, y, x).value - exact) <= cfg.tol_metric
+        M = matrix_values(distance_matrix(dom, [x, y]))
+        assert abs(M[0, 1] - exact) <= cfg.tol_metric
+
+
 def test_outside_point_rejected():
     with pytest.raises(SceneInvalid):
         rho(UNIT, P(2.0, 2.0), P(0.5, 0.5))
