@@ -134,7 +134,11 @@ def contacts(A1: np.ndarray, B1: np.ndarray, A2: np.ndarray, B2: np.ndarray, eps
 
     In order of precedence: a proper crossing; collinear segments sharing
     more than eps of length (overlap); more than eps apart (disjoint); two
-    endpoints within eps (shared-endpoint); anything else is a touch."""
+    endpoints within eps (shared-endpoint); anything else is a touch.
+
+    A set checked against itself (the same two arrays passed again) has
+    each unordered pair evaluated once: only entries i < j are filled, the
+    diagonal and the lower half read disjoint."""
     # Segments in contact are closer than eps / (shortest length), the reach
     # of the collinearity tolerance on twice the area, or eps when longer
     # than 1; pairs whose bounding boxes are further apart are disjoint.
@@ -142,7 +146,10 @@ def contacts(A1: np.ndarray, B1: np.ndarray, A2: np.ndarray, B2: np.ndarray, eps
     reach = eps / shortest if shortest > 0 else np.inf
     lo1, hi1 = np.minimum(A1, B1) - reach, np.maximum(A1, B1) + reach
     lo2, hi2 = np.minimum(A2, B2), np.maximum(A2, B2)
-    i, j = np.nonzero(((lo1[:, None] <= hi2[None]) & (lo2[None] <= hi1[:, None])).all(axis=-1))
+    near = ((lo1[:, None] <= hi2[None]) & (lo2[None] <= hi1[:, None])).all(axis=-1)
+    if A1 is A2 and B1 is B2:
+        near = np.triu(near, k=1)
+    i, j = np.nonzero(near)
     out = np.full((len(A1), len(A2)), DISJOINT, dtype=np.int8)
     for lo in range(0, len(i), _CONTACT_BLOCK):
         ii, jj = i[lo : lo + _CONTACT_BLOCK], j[lo : lo + _CONTACT_BLOCK]

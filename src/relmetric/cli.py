@@ -62,8 +62,8 @@ from .rigidity import (
     boundary_arc_points,
     boundary_profile,
     compare_profiles,
-    convexity_transfer_test,
     euclidean_congruence,
+    transfer_from_profiles,
 )
 from .sceneio import (
     Scene,
@@ -152,12 +152,11 @@ def _domain_of(scene: Scene, command: str) -> PlanarDomain:
 def _oracle_lengths(scene: Scene, pts: list[Point2], hints: list[str | None]) -> np.ndarray:
     """Pairwise shortest-path lengths in a scene with obstacle segments,
     inf where a pair is unreachable."""
-    engine = PreparedScene(scene.obstacle_scene())
+    paths = PreparedScene(scene.obstacle_scene()).shortest_paths(pts, hints)
     out = np.zeros((len(pts), len(pts)))
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
-            res = engine.shortest_path(pts[i], pts[j], hint_a=hints[i], hint_b=hints[j])
-            out[i, j] = out[j, i] = res.length
+            out[i, j] = out[j, i] = paths[i][j].length
     return out
 
 
@@ -505,7 +504,7 @@ def cmd_compare(args) -> int:
         print(f"congruence_gap {fmt12(cong.max_gap)}")
         print(f"congruent {'true' if congruent else 'false'}")
     if args.eta is not None:
-        rep = convexity_transfer_test(domain_a, domain_b, args.samples, args.eta, tol)
+        rep = transfer_from_profiles(domain_a, domain_b, prof_a, prof_b, args.eta, tol)
         print(f"transfer applicable {'true' if rep.applicable else 'false'}")
         print(f"transfer agrees {'true' if rep.agrees else 'false'}")
         print(

@@ -330,8 +330,7 @@ class PlanarDomain:
         outside = free & ~_batch.points_in_polygon(ends, rings[0])
         in_hole = np.any([_batch.points_in_polygon(ends, H) for H in rings[1:]], axis=0)
         end_fault = np.where(outside, 1, np.where(free & in_hole, 2, 0)).reshape(-1, 2)
-        # each slit against the walls, then against the slits
-        kind, pair = np.split(_batch.contacts(SA, SB, FA, FB, EPS_GEOM), [n_walls], axis=1)
+        kind = _batch.contacts(SA, SB, WA, WB, EPS_GEOM)
         # a touch is a T-contact only at a slit endpoint, not at a slit-interior
         # point pressed against the wall
         at_end = on_wall[0::2] | on_wall[1::2]
@@ -349,8 +348,10 @@ class PlanarDomain:
             what = _batch.CONTACT_KINDS[kind[s_idx, np.argmax(wall_fault[s_idx])]]
             if what == "touch":
                 raise DomainInvalid(f"slit[{s_idx}] interior touches the boundary")
-            raise DomainInvalid(f"slit[{s_idx}] {what}es the boundary")
-        i, j = np.nonzero(np.triu((pair != _batch.DISJOINT) & (pair != _batch.SHARED_ENDPOINT), k=1))
+            verb = "crosses" if what == "cross" else "overlaps"
+            raise DomainInvalid(f"slit[{s_idx}] {verb} the boundary")
+        pair = _batch.contacts(SA, SB, SA, SB, EPS_GEOM)
+        i, j = np.nonzero((pair != _batch.DISJOINT) & (pair != _batch.SHARED_ENDPOINT))
         if i.size:
             raise DomainInvalid(f"slits {i[0]} and {j[0]} {_batch.CONTACT_KINDS[pair[i[0], j[0]]]}")
 

@@ -15,7 +15,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -108,31 +108,56 @@ def _representatives(
     return inward_offsets(domain, t, offsets, hint)
 
 
-def _estimate(
+def _face_lengths(
     engine: PreparedScene,
-    faces_x: Sequence[tuple[Point2, ...]],
-    faces_y: Sequence[tuple[Point2, ...]],
+    reps: Sequence[Sequence[tuple[Point2, ...]]],
+    n_offsets: int,
+) -> Callable[[int, int, int, int], list[float]]:
+    """Lookup of the lengths at every offset between face fi of point i and
+    face fj of point j > i, where reps[i] lists the faces of point i.
+
+    One one-to-many search per offset covers all the representatives, the
+    faces of point i before those of later points; an offset whose
+    representatives repeat the previous ones (interior points) reuses its
+    table."""
+    faces = [(i, f) for i, point_faces in enumerate(reps) for f in range(len(point_faces))]
+    flat_index = {face: a for a, face in enumerate(faces)}
+    tables: list[list[list[float | None]]] = []
+    prev: list[Point2] | None = None
+    for k in range(n_offsets):
+        flat = [reps[i][f][k] for i, f in faces]
+        if flat != prev:
+            paths = engine.shortest_paths(flat)
+            table = [[None if r is None else r.length for r in row] for row in paths]
+        tables.append(table)
+        prev = flat
+
+    def lengths(i: int, fi: int, j: int, fj: int) -> list[float]:
+        a, b = flat_index[(i, fi)], flat_index[(j, fj)]
+        return [table[a][b] for table in tables]
+
+    return lengths
+
+
+def _estimate(
+    lengths: Callable[[int, int, int, int], list[float]],
+    reps: Sequence[Sequence[tuple[Point2, ...]]],
+    i: int,
+    j: int,
     cfg: MetricConfig,
 ) -> DistanceEstimate:
-    """The estimate over the pair of faces with the smallest value (the
-    first such pair on ties): a point where several interior faces meet is
-    as near as its nearest face."""
-    # interior points repeat the same representative at every offset; skip
-    # re-solving identical pairs
-    cache: dict[tuple, float] = {}
+    """The estimate between points i < j over the pair of their faces with
+    the smallest value (the first such pair on ties): a point where several
+    interior faces meet is as near as its nearest face.  `lengths` is the
+    :func:`_face_lengths` lookup over `reps`."""
     best: DistanceEstimate | None = None
-    for reps_x in faces_x:
-        for reps_y in faces_y:
-            lengths = []
-            for rx, ry in zip(reps_x, reps_y):
-                key = (rx.as_tuple(), ry.as_tuple())
-                if key not in cache:
-                    cache[key] = engine.shortest_path(rx, ry).length
-                lengths.append(cache[key])
+    for fi in range(len(reps[i])):
+        for fj in range(len(reps[j])):
+            values = lengths(i, fi, j, fj)
             est = DistanceEstimate(
-                _extrapolate(lengths, cfg),
-                tuple(zip(cfg.offsets, lengths)),
-                _converged(lengths, cfg),
+                _extrapolate(values, cfg),
+                tuple(zip(cfg.offsets, values)),
+                _converged(values, cfg),
             )
             if best is None or est.value < best.value:
                 best = est
@@ -182,9 +207,8 @@ def rho(
     side hint because the two faces genuinely differ.  Unreachable pairs give
     value ``inf`` (a result, not an error)."""
     cfg = cfg or MetricConfig()
-    faces_x = _representatives(domain, x, hint_x, cfg.offsets)
-    faces_y = _representatives(domain, y, hint_y, cfg.offsets)
-    est = _estimate(_engine(domain), faces_x, faces_y, cfg)
+    reps = [_representatives(domain, t, h, cfg.offsets) for t, h in ((x, hint_x), (y, hint_y))]
+    est = _estimate(_face_lengths(_engine(domain), reps, len(cfg.offsets)), reps, 0, 1, cfg)
     if warn and not est.converged:
         warnings.warn(
             f"offset schedule did not converge for ({x.x}, {x.y})-({y.x}, {y.y}): "
@@ -202,7 +226,8 @@ def distance_matrix(
     hints: Sequence[str | None] | None = None,
 ) -> list[list[DistanceEstimate]]:
     """Pairwise rho over the points; symmetric by construction (each
-    unordered pair is evaluated once, with shared offset representatives)."""
+    unordered pair is evaluated once, with shared offset representatives,
+    from one one-to-many search per offset)."""
     cfg = cfg or MetricConfig()
     if hints is None:
         hints = [None] * len(points)
@@ -211,13 +236,13 @@ def distance_matrix(
     reps = [
         _representatives(domain, p, h, cfg.offsets) for p, h in zip(points, hints)
     ]
-    engine = _engine(domain)
+    lengths = _face_lengths(_engine(domain), reps, len(cfg.offsets))
     n = len(points)
     zero = DistanceEstimate(0.0, tuple((d, 0.0) for d in cfg.offsets), True)
     out: list[list[DistanceEstimate]] = [[zero] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            out[i][j] = out[j][i] = _estimate(engine, reps[i], reps[j], cfg)
+            out[i][j] = out[j][i] = _estimate(lengths, reps, i, j, cfg)
     return out
 
 
@@ -324,13 +349,14 @@ def extract_geodesic(
         return GeodesicCheck(path, 0.0, 0.0, total)
     params = _arc_positions(path, grid)
     pts = [path.point_at(s) for s in params]
+    grid_paths = engine.shortest_paths(pts)
     max_dev = 0.0
     one_sided = 0.0
     for i in range(len(params)):
         for j in range(i + 1, len(params)):
             s, t = params[i], params[j]
             span = t - s
-            d = engine.shortest_path(pts[i], pts[j]).length
+            d = grid_paths[i][j].length
             max_dev = max(max_dev, abs(d - span))
             one_sided = max(one_sided, _subpath_length(path, s, t) - span)
     return GeodesicCheck(path, max_dev, one_sided, total)
@@ -371,11 +397,11 @@ def check_strict_convexity(
     """Every sample pair's geodesic must stay clear of the boundary except
     within eta of its endpoints.  The verdict is relative to the sampling
     resolution; polygonal domains legitimately fail on same-edge pairs."""
-    engine = _engine(domain)
+    paths = _engine(domain).shortest_paths(boundary_samples)
     witnesses = []
     for i in range(len(boundary_samples)):
         for j in range(i + 1, len(boundary_samples)):
-            res = engine.shortest_path(boundary_samples[i], boundary_samples[j])
+            res = paths[i][j]
             if not res.reached or res.path is None:
                 witnesses.append((i, j, boundary_samples[i], math.inf))
                 continue

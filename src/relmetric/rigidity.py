@@ -188,12 +188,11 @@ def boundary_profile(domain: PlanarDomain, m: int) -> BoundaryProfile:
             f"{_MAX_ROUNDS} rounds"
         )
 
+    paths = engine.shortest_paths(samples)
     M = np.zeros((m, m))
     for i in range(m):
         for j in range(i + 1, m):
-            d = engine.shortest_path(samples[i], samples[j]).length
-            M[i, j] = d
-            M[j, i] = d
+            M[i, j] = M[j, i] = paths[i][j].length
     return BoundaryProfile(tuple(samples), M, domain_digest(domain))
 
 
@@ -262,8 +261,21 @@ def convexity_transfer_test(
     declared a counterexample: at polygonal resolution the convexity verdict
     depends on the sampling, so the flag means "re-run finer", not "found".
     """
-    prof1 = boundary_profile(first, m)
-    prof2 = boundary_profile(second, m)
+    return transfer_from_profiles(
+        first, second, boundary_profile(first, m), boundary_profile(second, m), eta, tol
+    )
+
+
+def transfer_from_profiles(
+    first: PlanarDomain,
+    second: PlanarDomain,
+    prof1: BoundaryProfile,
+    prof2: BoundaryProfile,
+    eta: float,
+    tol: float = 1e-9,
+) -> TransferReport:
+    """The steps of :func:`convexity_transfer_test` after profiling, on the
+    two domains' profiles already built."""
     conv1: ConvexityReport = check_strict_convexity(first, list(prof1.samples), eta)
     align = compare_profiles(prof1, prof2)
     applicable = conv1.strictly_convex and align.residual <= tol
@@ -286,6 +298,6 @@ def convexity_transfer_test(
         second_strictly_convex=conv2.strictly_convex,
         agrees=(not applicable) or conv2.strictly_convex,
         falsification_candidate=falsification,
-        resolution=(m, eta),
+        resolution=(prof1.size, eta),
         note=note,
     )

@@ -1,6 +1,7 @@
 """Shortest paths amid segment obstacles.
 
-:class:`PreparedScene` runs Dijkstra lazily from the source, splits nodes
+:class:`PreparedScene` runs one Dijkstra per source over lazily computed
+visibility rows, settling all of that source's targets.  It splits nodes
 that sit on obstacle junctions into angular wedge copies, and rejects
 candidate edges that pass through another node, so that walls made of
 chained segments are genuinely impassable at their joints while still
@@ -8,9 +9,11 @@ allowing paths to ride along walls.
 """
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -201,11 +204,14 @@ class PreparedScene:
     because directions on a wedge border belong to both neighboring wedges.
 
     Terminals: a query point within EPS_GEOM of a base node is that node.
-    Any other terminal becomes a node of the query graph, with id ``_n`` for
-    a and ``_n + 1`` for b, and has a position, a wedge list (the side of a
-    two-sided wall its hint selects) and a visibility row like a base node.
-    Terminal a's row also decides the direct a-b edge; the rows of the base
-    nodes that a terminal sees gain that terminal for the query.
+    Any other query point c becomes node ``_n + c`` of the query graph, with
+    a position, a wedge list (the side of a two-sided wall its hint selects)
+    and a visibility row like a base node, computed once per query against
+    the base nodes and all the query points.  A search from point i runs to
+    the points j > i: the source's row decides its direct edges, and the
+    rows of the base nodes that a target sees gain that target.  Off-node
+    targets are sinks, settled but never expanded, so a path never passes
+    through another query point.
 
     Candidate edges are rejected when they properly cross a feature, when
     their open segment passes through another base node (the path must
@@ -341,53 +347,93 @@ class PreparedScene:
         hint_a: str | None = None,
         hint_b: str | None = None,
     ) -> PathResult:
-        if self._rings is not None:
-            inside = self._closure_mask(np.array([a.as_tuple(), b.as_tuple()]))
-            for label, ok in zip("ab", inside.tolist()):
-                if not ok:
-                    raise SceneInvalid(f"terminal {label} lies outside the domain")
+        return self.shortest_paths([a, b], [hint_a, hint_b])[0][1]
+
+    def shortest_paths(
+        self, points: Sequence[Point2], hints: Sequence[str | None] | None = None
+    ) -> list[list[PathResult | None]]:
+        """Shortest paths between all the points: ``out[i][j]`` for i < j
+        (None elsewhere) is the path from points[i] to points[j], exactly as
+        a search for that pair alone finds it.
+
+        Each off-node point gets its wedges and one visibility row, against
+        the base nodes and all the points.  One search per source i then
+        settles the points j > i; off-node targets are sinks.  Errors are
+        those of the pairs taken in order: point 0 is terminal a, any later
+        point terminal b."""
+        k = len(points)
+        out: list[list[PathResult | None]] = [[None] * k for _ in range(k)]
+        if k < 2:
+            return out
+        hints = [None] * k if hints is None else hints
         n = self._n
-        start, goal = self._snap(a), self._snap(b)
-        # off-node terminals are nodes n (a) and n + 1 (b) of this query
-        points = self.base_points + [a, b]
-        node_wedges = self._node_wedges + [[], []]
-        off = [(n, a, hint_a, "a")] if start is None else []
-        if goal is None:
-            off.append((n + 1, b, hint_b, "b"))
-        if off:
-            P = np.array([t.as_tuple() for _, t, _, _ in off])
-            for (idx, t, hint, label), (rays, host) in zip(
-                off, blocked_rays(P, self._FA, self._FB, self._angles)
-            ):
-                node_wedges[idx] = self._terminal_wedges(t, rays, host, hint, label)
-        start = n if start is None else start
-        goal = n + 1 if goal is None else goal
+        T = np.array([t.as_tuple() for t in points])
+        inside = [True] * k if self._rings is None else self._closure_mask(T).tolist()
+        snapped = [self._snap(t) for t in points]
+        off = [c for c in range(k) if snapped[c] is None]
+        rays = dict(zip(off, blocked_rays(T[off], self._FA, self._FB, self._angles)))
+        # point c, when off-node, is node n + c of the query graph
+        nodes = [n + c if s is None else s for c, s in enumerate(snapped)]
+        node_wedges = self._node_wedges + [[] for _ in range(k)]
+        labels = "a" + "b" * (k - 1)
+        # checks in the order of the pairs: the pair (0, 1) checks both
+        # closures before either point's wedges; a later point c comes with
+        # the pair (0, c)
+        for c in range(k):
+            for d in (0, 1) if c == 0 else () if c == 1 else (c,):
+                if not inside[d]:
+                    raise SceneInvalid(f"terminal {labels[d]} lies outside the domain")
+            if c in rays:
+                node_wedges[n + c] = self._terminal_wedges(points[c], *rays[c], hints[c], labels[c])
 
-        if a.distance_to(b) <= EPS_GEOM:
-            # a graph node (wall vertex or segment end) is one point; two
-            # mid-wall terminals coincide only when their sides overlap
-            if start < n or _wedges_share_interior(node_wedges[start], node_wedges[goal]):
-                return PathResult(True, 0.0, Polyline((a,)))
+        # rows of the off-node points; column n + j is point j
+        positions = self.base_points + list(points)
+        Q = np.vstack([self._P, T])
+        base_row: dict[int, list[int]] = {}
+        point_row: dict[int, list[int]] = {}
+        for c in off:
+            row = np.nonzero(self._visibility(T[c], Q))[0].tolist()
+            cut = bisect.bisect_left(row, n)
+            base_row[c], point_row[c] = row[:cut], row[cut:]
 
-        rows: dict[int, list[int]] = {}
-        direct = False
-        if start == n:
-            # b's position, when b is off-node, is the last candidate
-            Q = self._P if goal < n else np.vstack([self._P, [b.as_tuple()]])
-            vis = self._visibility(np.array(a.as_tuple()), Q)
-            rows[n] = np.nonzero(vis[:n])[0].tolist()
-            direct = goal == n + 1 and bool(vis[n])
-            if direct:
-                rows[n].append(n + 1)
-        if goal == n + 1:
-            rows[n + 1] = np.nonzero(self._visibility(np.array(b.as_tuple()), self._P))[0].tolist()
-            if direct:
-                rows[n + 1].append(n)
-        seen_by: dict[int, list[int]] = {}
-        for t, row in rows.items():
-            for j in row:
-                if j < n:
-                    seen_by.setdefault(j, []).append(t)
+        for i in range(k - 1):
+            src = nodes[i]
+            targets: dict[int, list[int]] = {}
+            for j in range(i + 1, k):
+                # a graph node (wall vertex or segment end) is one point; two
+                # mid-wall points coincide only when their sides overlap
+                if points[i].distance_to(points[j]) <= EPS_GEOM and (
+                    src < n or _wedges_share_interior(node_wedges[src], node_wedges[nodes[j]])
+                ):
+                    out[i][j] = PathResult(True, 0.0, Polyline((points[i],)))
+                else:
+                    targets.setdefault(nodes[j], []).append(j)
+            rows: dict[int, list[int]] = {}
+            if src >= n:
+                rows[src] = base_row[i] + [t for t in point_row[i] if t in targets]
+            seen_by: dict[int, list[int]] = {}
+            for t in targets:
+                if t >= n:
+                    for v in base_row[t - n]:
+                        seen_by.setdefault(v, []).append(t)
+            for t, found in self._search(src, targets, positions, node_wedges, rows, seen_by).items():
+                for j in targets[t]:
+                    out[i][j] = found
+        return out
+
+    def _search(
+        self,
+        src: int,
+        targets: dict[int, list[int]],
+        positions: list[Point2],
+        node_wedges: list[list[tuple[float, float]]],
+        rows: dict[int, list[int]],
+        seen_by: dict[int, list[int]],
+    ) -> dict[int, PathResult]:
+        """Dijkstra over (node, wedge) states from node src until every
+        target node is settled.  Off-node targets are never expanded; a base
+        node's neighbours are its row plus the targets that see it."""
+        n = self._n
 
         def neighbours(i: int) -> list[int]:
             row = rows.get(i)
@@ -398,25 +444,28 @@ class PreparedScene:
         dist: dict[tuple[int, int], float] = {}
         parent: dict[tuple[int, int], tuple[int, int] | None] = {}
         heap: list[tuple[float, int, int]] = []
-        for w_idx in range(len(node_wedges[start])):
-            dist[(start, w_idx)] = 0.0
-            parent[(start, w_idx)] = None
-            heapq.heappush(heap, (0.0, start, w_idx))
+        for w_idx in range(len(node_wedges[src])):
+            dist[(src, w_idx)] = 0.0
+            parent[(src, w_idx)] = None
+            heapq.heappush(heap, (0.0, src, w_idx))
 
-        found: tuple[int, int] | None = None
-        while heap:
+        found: dict[int, tuple[int, int]] = {}
+        while heap and targets:
             d, idx, w_idx = heapq.heappop(heap)
             if d > dist.get((idx, w_idx), math.inf):
                 continue
-            if idx == goal:
-                found = (idx, w_idx)
-                break
-            p = points[idx]
+            if idx in targets and idx not in found:
+                found[idx] = (idx, w_idx)
+                if len(found) == len(targets):
+                    break
+            if idx >= n and idx != src:
+                continue
+            p = positions[idx]
             wedge = node_wedges[idx][w_idx]
             for j in neighbours(idx):
                 if j == idx:
                     continue
-                q = points[j]
+                q = positions[j]
                 theta = math.atan2(q.y - p.y, q.x - p.x)
                 if not _in_wedge(theta, wedge):
                     continue
@@ -437,21 +486,22 @@ class PreparedScene:
                         dist[key2] = nd
                         parent[key2] = (idx, w_idx)
                         heapq.heappush(heap, (nd, j, w2))
-        if found is None:
-            return PathResult(False, math.inf, None)
 
-        chain: list[Point2] = []
-        cur: tuple[int, int] | None = found
-        while cur is not None:
-            chain.append(points[cur[0]])
-            cur = parent[cur]
-        chain.reverse()
-        verts: list[Point2] = [chain[0]]
-        for p in chain[1:]:
-            if p.distance_to(verts[-1]) > EPS_GEOM:
-                verts.append(p)
-        poly = Polyline(tuple(verts))
-        return PathResult(True, poly.length(), poly)
+        results = {t: PathResult(False, math.inf, None) for t in targets}
+        for t, key in found.items():
+            chain: list[Point2] = []
+            cur: tuple[int, int] | None = key
+            while cur is not None:
+                chain.append(positions[cur[0]])
+                cur = parent[cur]
+            chain.reverse()
+            verts: list[Point2] = [chain[0]]
+            for p in chain[1:]:
+                if p.distance_to(verts[-1]) > EPS_GEOM:
+                    verts.append(p)
+            poly = Polyline(tuple(verts))
+            results[t] = PathResult(True, poly.length(), poly)
+        return results
 
 
 def shortest_path(

@@ -34,10 +34,12 @@ COMMANDS = [
     "dist <tmp>/fam.json A D",
     "matrix <tmp>/slit.json",
     "matrix <tmp>/comb.json",
+    "matrix <tmp>/fam.json",
     "check metric <tmp>/sq.json --points a,b,c",
     "check metric <tmp>/slit.json",
     "check geodesic <tmp>/slit.json --p w --q e",
     "check geodesic <tmp>/sq.json --p sw --q ne",
+    "check geodesic <tmp>/comb.json --p probe --q target",
     "check convexity <tmp>/sq.json --samples 8",
     "check convexity <tmp>/comb.json --samples 8",
     "check circ <tmp>/slit.json --samples 8",

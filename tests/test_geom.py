@@ -141,13 +141,18 @@ def test_contact_kernel_matches_the_scalar_rules():
             segs.append(Segment2(a, b))
     A = np.array([s.a.as_tuple() for s in segs])
     B = np.array([s.b.as_tuple() for s in segs])
-    kinds = _batch.contacts(A, B, A, B, EPS_GEOM)
+    kinds = _batch.contacts(A, B, A.copy(), B.copy(), EPS_GEOM)
     seen = set()
     for i, s in enumerate(segs):
         for j, t in enumerate(segs):
             seen.add(reference_contact(s, t))
             assert _batch.CONTACT_KINDS[kinds[i, j]] == reference_contact(s, t)
     assert seen == set(_batch.CONTACT_KINDS)
+    # the set against itself: each unordered pair once, in the upper half
+    upper = np.triu(np.ones(kinds.shape, dtype=bool), k=1)
+    own = _batch.contacts(A, B, A, B, EPS_GEOM)
+    assert (own[upper] == kinds[upper]).all()
+    assert (own[~upper] == _batch.DISJOINT).all()
 
 
 # -- polygons and domains ---------------------------------------------------

@@ -101,7 +101,7 @@ DOMAIN_CASES = [
     ),
     (
         dict(outer=SQUARE, slits=(seg(0.2, 0.5, 0.4, 0.5), seg(0.2, 0.0, 0.5, 0.0))),
-        "slit[1] overlapes the boundary",
+        "slit[1] overlaps the boundary",
     ),
     # the hole's bottom vertex presses on the slit's interior
     (
