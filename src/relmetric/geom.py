@@ -321,6 +321,9 @@ class PlanarDomain:
         must not disconnect the open interior.  All pairs are classified at
         once; the first offense in that order is reported.  ``owner`` gives
         the ring (outer first, then the holes) of each wall edge."""
+        for s_idx, slit in enumerate(self.slits):
+            if not isinstance(slit, Segment2):
+                raise DomainInvalid(f"slit[{s_idx}] must be a Segment2")
         FA, FB = domain_arrays(self)[:2]
         n_walls = len(owner)
         WA, WB, SA, SB = FA[:n_walls], FB[:n_walls], FA[n_walls:], FB[n_walls:]

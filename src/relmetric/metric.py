@@ -109,32 +109,22 @@ def _representatives(
 
 
 def _face_lengths(
-    engine: PreparedScene,
-    reps: Sequence[Sequence[tuple[Point2, ...]]],
-    n_offsets: int,
+    engine: PreparedScene, reps: Sequence[Sequence[tuple[Point2, ...]]]
 ) -> Callable[[int, int, int, int], list[float]]:
     """Lookup of the lengths at every offset between face fi of point i and
     face fj of point j > i, where reps[i] lists the faces of point i.
 
-    One one-to-many search per offset covers all the representatives, the
-    faces of point i before those of later points; an offset whose
-    representatives repeat the previous ones (interior points) reuses its
-    table."""
-    faces = [(i, f) for i, point_faces in enumerate(reps) for f in range(len(point_faces))]
-    flat_index = {face: a for a, face in enumerate(faces)}
-    tables: list[list[list[float | None]]] = []
-    prev: list[Point2] | None = None
-    for k in range(n_offsets):
-        flat = [reps[i][f][k] for i, f in faces]
-        if flat != prev:
-            paths = engine.shortest_paths(flat)
-            table = [[None if r is None else r.length for r in row] for row in paths]
-        tables.append(table)
-        prev = flat
+    One one-to-many search covers the distinct representatives of all
+    offsets, keyed by (point, representative) and listed point by point, so
+    every pair is searched from its earlier point, as one search per offset
+    would; an interior point, its own representative at every offset, is
+    searched once."""
+    keys = dict.fromkeys((i, r) for i, faces in enumerate(reps) for face in faces for r in face)
+    index = {key: a for a, key in enumerate(keys)}
+    paths = engine.shortest_paths([r for _, r in keys])
 
     def lengths(i: int, fi: int, j: int, fj: int) -> list[float]:
-        a, b = flat_index[(i, fi)], flat_index[(j, fj)]
-        return [table[a][b] for table in tables]
+        return [paths[index[(i, a)]][index[(j, b)]].length for a, b in zip(reps[i][fi], reps[j][fj])]
 
     return lengths
 
@@ -208,7 +198,7 @@ def rho(
     value ``inf`` (a result, not an error)."""
     cfg = cfg or MetricConfig()
     reps = [_representatives(domain, t, h, cfg.offsets) for t, h in ((x, hint_x), (y, hint_y))]
-    est = _estimate(_face_lengths(_engine(domain), reps, len(cfg.offsets)), reps, 0, 1, cfg)
+    est = _estimate(_face_lengths(_engine(domain), reps), reps, 0, 1, cfg)
     if warn and not est.converged:
         warnings.warn(
             f"offset schedule did not converge for ({x.x}, {x.y})-({y.x}, {y.y}): "
@@ -227,7 +217,7 @@ def distance_matrix(
 ) -> list[list[DistanceEstimate]]:
     """Pairwise rho over the points; symmetric by construction (each
     unordered pair is evaluated once, with shared offset representatives,
-    from one one-to-many search per offset)."""
+    from one one-to-many search over all the offsets)."""
     cfg = cfg or MetricConfig()
     if hints is None:
         hints = [None] * len(points)
@@ -236,7 +226,7 @@ def distance_matrix(
     reps = [
         _representatives(domain, p, h, cfg.offsets) for p, h in zip(points, hints)
     ]
-    lengths = _face_lengths(_engine(domain), reps, len(cfg.offsets))
+    lengths = _face_lengths(_engine(domain), reps)
     n = len(points)
     zero = DistanceEstimate(0.0, tuple((d, 0.0) for d in cfg.offsets), True)
     out: list[list[DistanceEstimate]] = [[zero] * n for _ in range(n)]

@@ -213,10 +213,20 @@ class PreparedScene:
     targets are sinks, settled but never expanded, so a path never passes
     through another query point.
 
-    Candidate edges are rejected when they properly cross a feature, when
-    their open segment passes through another base node (the path must
-    decompose there instead), or when their midpoint leaves the allowed
-    region.
+    Region: the domain closure (the whole plane without a boundary) minus
+    the open floor polygon.  Terminals must lie in it: a point outside the
+    closure raises SceneInvalid, one strictly inside the floor raises
+    TerminalInsideFloor.  Base-node copies keep only the wedges that open
+    into the region, and an edge leaves a node only inside its wedge.
+
+    A visibility row is two filters, the more selective first: candidate
+    edges that properly cross a feature are rejected, and only the
+    survivors are tested for passing through another base node (the path
+    must decompose there instead).  An edge that survives both stays in
+    one face of the features, the face its wedge opens into, so no region
+    test is needed.  A terminal with a wedge outside the region (its hint
+    chose that side, or it has no side in the region) keeps its edges only
+    where their midpoints lie in the region.
     """
 
     def __init__(
@@ -283,29 +293,34 @@ class PreparedScene:
         """Base nodes visible from base node i (cached)."""
         row = self._nbrs.get(i)
         if row is None:
-            vis = self._visibility(self._P[i], self._P, skip_base=i)
-            row = self._nbrs[i] = np.nonzero(vis)[0].tolist()
+            row = self._nbrs[i] = self._visibility(self._P[i], self._P, skip_base=i).tolist()
         return row
 
     def _visibility(self, p: np.ndarray, Q: np.ndarray, skip_base: int | None = None) -> np.ndarray:
-        """Which candidates Q[j] are visible from p.  The first ``_n`` rows
-        of Q are the base nodes in order; p is base node `skip_base` or an
-        off-node terminal, which has no base node within EPS_GEOM."""
-        ok = np.linalg.norm(Q - p[None, :], axis=1) > EPS_GEOM
+        """Indices, ascending, of the candidates Q[j] visible from p.  The
+        first ``_n`` rows of Q are the base nodes in order; p is base node
+        `skip_base` or an off-node terminal, which has no base node within
+        EPS_GEOM.
+
+        Two filters, the more selective first: the segment p->Q[j] must
+        properly cross no feature, and only the survivors are tested for
+        passing through a base node."""
+        far = np.linalg.norm(Q - p[None, :], axis=1) > EPS_GEOM
         if skip_base is not None:
-            ok[skip_base] = False
-        if ok.any():
-            ok &= ~_batch.cross_matrix(p, Q, self._FA, self._FB, EPS_GEOM).any(axis=1)
-        if ok.any():
-            near = _batch.seg_point_dists(p, Q, self._P) <= EPS_GEOM
-            # a base-node candidate and the source node end the segment
-            near[np.arange(self._n), np.arange(self._n)] = False
+            far[skip_base] = False
+        idx = np.nonzero(far)[0]
+        if idx.size:
+            idx = idx[~_batch.cross_matrix(p, Q[idx], self._FA, self._FB, EPS_GEOM).any(axis=1)]
+        if idx.size:
+            near = _batch.seg_point_dists(p, Q[idx], self._P) <= EPS_GEOM
+            # a base-node candidate and the source node end the segment;
+            # the base nodes come first in idx
+            cut = bisect.bisect_left(idx, self._n)
+            near[np.arange(cut), idx[:cut]] = False
             if skip_base is not None:
                 near[:, skip_base] = False
-            ok &= ~near.any(axis=1)
-        if ok.any():
-            ok &= self._region_mask(0.5 * (p[None, :] + Q))
-        return ok
+            idx = idx[~near.any(axis=1)]
+        return idx
 
     # -- terminals -----------------------------------------------------------
 
@@ -320,19 +335,22 @@ class PreparedScene:
 
     def _terminal_wedges(
         self, p: Point2, rays: list[float], host: int | None, hint: str | None, label: str
-    ) -> list[tuple[float, float]]:
+    ) -> tuple[list[tuple[float, float]], bool]:
+        """The wedges of an off-node terminal, and whether all of them open
+        into the region: a hint may choose a side outside it, and a point
+        with no side in the region keeps all its wedges."""
         wedges = wedges_from_rays(rays)
         if host is None or len(wedges) < 2:
-            return wedges
+            return wedges, True
+        viable = self._viable_wedges(p, wedges)
         if hint is not None:
             th = _hint_angle(self.features[host], hint)
-            chosen = [w for w in wedges if _in_wedge(th, w)]
-            return chosen or wedges
-        viable = self._viable_wedges(p, wedges)
+            chosen = [w for w in wedges if _in_wedge(th, w)] or wedges
+            return chosen, all(w in viable for w in chosen)
         if len(viable) == 1:
-            return viable
+            return viable, True
         if len(viable) == 0:
-            return wedges
+            return wedges, False
         raise MissingHint(
             f"terminal {label} at ({p.x}, {p.y}) lies on a two-sided wall; "
             "pass hint='left' or hint='right'"
@@ -369,6 +387,7 @@ class PreparedScene:
         n = self._n
         T = np.array([t.as_tuple() for t in points])
         inside = [True] * k if self._rings is None else self._closure_mask(T).tolist()
+        clear = [True] * k if self.floor is None else self._region_mask(T).tolist()
         snapped = [self._snap(t) for t in points]
         off = [c for c in range(k) if snapped[c] is None]
         rays = dict(zip(off, blocked_rays(T[off], self._FA, self._FB, self._angles)))
@@ -376,15 +395,20 @@ class PreparedScene:
         nodes = [n + c if s is None else s for c, s in enumerate(snapped)]
         node_wedges = self._node_wedges + [[] for _ in range(k)]
         labels = "a" + "b" * (k - 1)
+        exposed: set[int] = set()
         # checks in the order of the pairs: the pair (0, 1) checks both
-        # closures before either point's wedges; a later point c comes with
+        # positions before either point's wedges; a later point c comes with
         # the pair (0, c)
         for c in range(k):
             for d in (0, 1) if c == 0 else () if c == 1 else (c,):
                 if not inside[d]:
                     raise SceneInvalid(f"terminal {labels[d]} lies outside the domain")
+                if not clear[d]:
+                    raise TerminalInsideFloor(f"terminal {labels[d]} lies strictly inside the floor polygon")
             if c in rays:
-                node_wedges[n + c] = self._terminal_wedges(points[c], *rays[c], hints[c], labels[c])
+                node_wedges[n + c], in_region = self._terminal_wedges(points[c], *rays[c], hints[c], labels[c])
+                if not in_region:
+                    exposed.add(c)
 
         # rows of the off-node points; column n + j is point j
         positions = self.base_points + list(points)
@@ -392,7 +416,12 @@ class PreparedScene:
         base_row: dict[int, list[int]] = {}
         point_row: dict[int, list[int]] = {}
         for c in off:
-            row = np.nonzero(self._visibility(T[c], Q))[0].tolist()
+            row = self._visibility(T[c], Q)
+            if c in exposed:
+                # a wedge outside the region: keep the edges whose
+                # midpoints lie in it
+                row = row[self._region_mask(0.5 * (T[c] + Q[row]))]
+            row = row.tolist()
             cut = bisect.bisect_left(row, n)
             base_row[c], point_row[c] = row[:cut], row[cut:]
 

@@ -131,6 +131,11 @@ DOMAIN_CASES = [
         dict(outer=SQUARE, slits=(seg(0, 0.5, 0.3, 0.5), seg(0.3, 0.5, 1, 0.5), seg(0.5, 0, 0.5, 0.2))),
         "slit[1] closes a cut: the open interior would be disconnected",
     ),
+    # a raw pair of points, not a Segment2
+    (
+        dict(outer=SQUARE, slits=(seg(0.2, 0.2, 0.4, 0.2), tuple(pts((0.5, 0.5), (0.7, 0.5))))),
+        "slit[1] must be a Segment2",
+    ),
 ]
 
 
