@@ -124,7 +124,8 @@ def _face_lengths(
     paths = engine.shortest_paths([r for _, r in keys])
 
     def lengths(i: int, fi: int, j: int, fj: int) -> list[float]:
-        return [paths[index[(i, a)]][index[(j, b)]].length for a, b in zip(reps[i][fi], reps[j][fj])]
+        pairs = zip(reps[i][fi], reps[j][fj])
+        return [paths[index[(i, a)]][index[(j, b)]].length for a, b in pairs]
 
     return lengths
 

@@ -404,9 +404,12 @@ class PreparedScene:
                 if not inside[d]:
                     raise SceneInvalid(f"terminal {labels[d]} lies outside the domain")
                 if not clear[d]:
-                    raise TerminalInsideFloor(f"terminal {labels[d]} lies strictly inside the floor polygon")
+                    raise TerminalInsideFloor(
+                        f"terminal {labels[d]} lies strictly inside the floor polygon"
+                    )
             if c in rays:
-                node_wedges[n + c], in_region = self._terminal_wedges(points[c], *rays[c], hints[c], labels[c])
+                wedges, in_region = self._terminal_wedges(points[c], *rays[c], hints[c], labels[c])
+                node_wedges[n + c] = wedges
                 if not in_region:
                     exposed.add(c)
 

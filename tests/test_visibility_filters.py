@@ -153,7 +153,8 @@ def test_terminals_with_a_side_outside_the_region():
 
 
 def test_terminal_inside_the_floor_raises():
-    engine = PreparedScene(ObstacleScene((Segment2(P(3, -1), P(3, 1)),)), floor=circumscribed_polygon(1.0, 12))
+    bar = ObstacleScene((Segment2(P(3, -1), P(3, 1)),))
+    engine = PreparedScene(bar, floor=circumscribed_polygon(1.0, 12))
     with pytest.raises(TerminalInsideFloor) as exc:
         engine.shortest_path(P(0.1, 0.2), P(-0.3, 0.1))
     assert str(exc.value) == "terminal a lies strictly inside the floor polygon"
