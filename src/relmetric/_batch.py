@@ -3,8 +3,10 @@ scene-wide predicates (segment contacts for validation, closure membership,
 the visibility filters, the feature hits behind blocked rays) and of the
 strips disjointness distances.
 
-The orientation tolerance is absolute on twice the signed area.  The scalar
-predicates kept in :mod:`relmetric.geom` serve as test references.
+The orientation tolerance is absolute on twice the signed area.  Every
+point-segment distance goes through one elementwise kernel, ``_pseg``.  The
+scalar predicates that tests compare these kernels against live in the
+test suite (``tests/_reference.py``).
 """
 from __future__ import annotations
 
@@ -15,6 +17,9 @@ DISJOINT, CROSS, OVERLAP, SHARED_ENDPOINT, TOUCH = range(len(CONTACT_KINDS))
 # pairs per block of the contact kernel: its stacked temporaries stay at
 # 128 KiB, so validating a large scene does not grow the process heap
 _CONTACT_BLOCK = 2048
+# segments per block of the through-node kernel, which holds several
+# (block, nodes) temporaries at once
+_NODE_BLOCK = 512
 
 
 def _osign(ux, uy, vx, vy, wx, wy, eps: float):
@@ -51,30 +56,14 @@ def cross_matrix(p: np.ndarray, Q: np.ndarray, FA: np.ndarray, FB: np.ndarray, e
 
 def point_seg_dists(P: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Distances from points P (k,2) to segments A[i]->B[i] (m,2): (k,m)."""
-    d = B - A
-    denom = np.einsum("md,md->m", d, d)
-    denom = np.where(denom <= 0.0, 1.0, denom)
-    pa = P[:, None, :] - A[None, :, :]
-    t = np.einsum("kmd,md->km", pa, d) / denom[None, :]
-    t = np.clip(t, 0.0, 1.0)
-    proj = A[None, :, :] + t[..., None] * d[None, :, :]
-    return np.linalg.norm(P[:, None, :] - proj, axis=2)
+    return _pseg(P[:, None], A[None], B[None])
 
 
-def seg_point_dists(p: np.ndarray, Q: np.ndarray, N: np.ndarray, chunk: int = 512) -> np.ndarray:
+def seg_point_dists(p: np.ndarray, Q: np.ndarray, N: np.ndarray) -> np.ndarray:
     """Distances from nodes N (n,2) to segments p->Q[j] (k,2): (k,n)."""
-    d = Q - p[None, :]
-    denom = np.einsum("kd,kd->k", d, d)
-    denom = np.where(denom <= 0.0, 1.0, denom)
-    np_ = N - p[None, :]
     out = np.empty((len(Q), len(N)))
-    for lo in range(0, len(Q), chunk):
-        hi = min(lo + chunk, len(Q))
-        dj = d[lo:hi]
-        t = (np_ @ dj.T).T / denom[lo:hi, None]
-        t = np.clip(t, 0.0, 1.0)
-        proj = p[None, None, :] + t[..., None] * dj[:, None, :]
-        out[lo:hi] = np.linalg.norm(N[None, :, :] - proj, axis=2)
+    for lo in range(0, len(Q), _NODE_BLOCK):
+        out[lo : lo + _NODE_BLOCK] = _pseg(N[None], p, Q[lo : lo + _NODE_BLOCK, None])
     return out
 
 
@@ -92,12 +81,12 @@ def seg_pair_dists(A1: np.ndarray, B1: np.ndarray, A2: np.ndarray, B2: np.ndarra
     """Distances between segments A1->B1 and A2->B2, elementwise over
     (..., 2) arrays of one shape.
 
-    Zero when a pair meets; with an exact orientation test, touching and
-    collinear pairs count as meeting.  For pairs that do not meet the minimum
+    Zero when a pair meets; with an exact orientation test, touching pairs
+    count as meeting.  For other pairs, collinear ones included, the minimum
     is attained at an endpoint."""
     U, V, W = _stack4(A1, B1, A2, B2)
     o = _osign(U[..., 0], U[..., 1], V[..., 0], V[..., 1], W[..., 0], W[..., 1], 0.0)
-    meet = (o[0] * o[1] <= 0) & (o[2] * o[3] <= 0)
+    meet = (o[0] * o[1] <= 0) & (o[2] * o[3] <= 0) & o.any(axis=0)
     return np.where(meet, 0.0, _pseg(W, U, V).min(axis=0))
 
 

@@ -48,9 +48,8 @@ from .geom import (
     Segment2,
     Strip3,
     contains,
-    point_segment_distance,
+    point_array,
     polygon_edges,
-    segment_segment_distance,
 )
 from .metric import MetricConfig, rho
 from .visibility import (
@@ -251,11 +250,8 @@ def verify_length_bound(
     J = spec.levels
     if not 1 <= J <= 4:
         raise SpecInvalid(f"length bound defined for levels 1..4, got {J}")
-    r_min = 4.0 * 2.0**-J
     levels = range(1, J + 1) if include_obstacles else ()
-    scene = clipped_family_scene(levels)
-    res = shortest_path_confined(scene, LEG_A, LEG_D, r_min, m_circle=m_circle)
-    length = res.length
+    length = confined_route(levels, 4.0 * 2.0**-J, m_circle).length
     if include_obstacles and length < 6.0 * (1.0 - tol_floor):
         raise GeometryError(
             f"confined length {length} at J={J} fell below the bound "
@@ -392,15 +388,14 @@ def verify_pigeonhole(
         ok_rev = verts[0].distance_to(LEG_D) <= end_tol and verts[-1].distance_to(LEG_A) <= end_tol
         if not (ok_fwd or ok_rev):
             raise PathNotConfined("path does not join the two wedge legs")
-    origin = Point2(0.0, 0.0)
     for v in verts:
         if not r_floor - 1e-9 <= v.norm() <= 4.0 + 1e-9:
             raise PathNotConfined(
                 f"vertex at radius {v.norm()} leaves [{r_floor}, 4]"
             )
-    for s, t in zip(verts, verts[1:]):
-        if point_segment_distance(origin, s, t) < r_floor - 1e-9:
-            raise PathNotConfined("a path segment dips below the inner radius")
+    V = point_array(verts)
+    if (_batch.point_seg_dists(np.zeros((1, 2)), V[:-1], V[1:]) < r_floor - 1e-9).any():
+        raise PathNotConfined("a path segment dips below the inner radius")
 
     per_layer: list[list[tuple[float, float]]] = [[] for _ in range(levels)]
     for s, t in zip(verts, verts[1:]):
@@ -897,4 +892,6 @@ def random_slit_domain(
 
 
 def _clear_of(cand: Segment2, others: Sequence[Segment2], clearance: float) -> bool:
-    return all(segment_segment_distance(cand, o) >= clearance for o in others)
+    A, B = point_array([o.a for o in others]), point_array([o.b for o in others])
+    a, b = (np.broadcast_to(v.as_tuple(), A.shape) for v in (cand.a, cand.b))
+    return bool((_batch.seg_pair_dists(a, b, A, B) >= clearance).all())

@@ -1,8 +1,9 @@
 """Planar primitives, the slit-domain model, and its scene-wide questions.
 
 Validation, :func:`contains`, blocked rays, wedges and inward offsets run on
-the array kernels of :mod:`relmetric._batch`; the scalar predicates here are
-the references that tests compare those kernels against.
+the array kernels of :mod:`relmetric._batch`.  The scalar predicates that
+tests compare those kernels against live in the test suite
+(``tests/_reference.py``), not here.
 
 Convention: all "zero" tests on cross products use an absolute tolerance
 ``EPS_GEOM`` on twice the signed area.  Scene coordinates are expected to be
@@ -153,67 +154,8 @@ class Polyline:
 
 
 # ---------------------------------------------------------------------------
-# predicates
-# ---------------------------------------------------------------------------
-
-
-def orientation(p: Point2, q: Point2, r: Point2, eps: float = EPS_GEOM) -> int:
-    """Sign of the turn p->q->r: +1 counter-clockwise, -1 clockwise, 0 within eps.
-
-    The tolerance applies to twice the signed triangle area, i.e. it is
-    absolute in area units, not relative.
-    """
-    area2 = (q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x)
-    if abs(area2) <= eps:
-        return 0
-    return 1 if area2 > 0.0 else -1
-
-
-def properly_cross(s: Segment2, t: Segment2, eps: float = EPS_GEOM) -> bool:
-    """True iff the open interiors of s and t cross transversally.
-
-    Endpoint touching and collinear overlap both return False.  This is the
-    scalar reference for the ``cross`` contact of :func:`_batch.contacts`.
-    """
-    o1 = orientation(s.a, s.b, t.a, eps)
-    o2 = orientation(s.a, s.b, t.b, eps)
-    o3 = orientation(t.a, t.b, s.a, eps)
-    o4 = orientation(t.a, t.b, s.b, eps)
-    return o1 * o2 < 0 and o3 * o4 < 0
-
-
-def point_segment_distance(p: Point2, a: Point2, b: Point2) -> float:
-    d = b - a
-    denom = d.dot(d)
-    t = 0.0 if denom <= 0.0 else min(1.0, max(0.0, (p - a).dot(d) / denom))
-    q = Point2(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
-    return p.distance_to(q)
-
-
-def segment_segment_distance(s: Segment2, t: Segment2, eps: float = EPS_GEOM) -> float:
-    if properly_cross(s, t, eps):
-        return 0.0
-    return min(
-        point_segment_distance(s.a, t.a, t.b),
-        point_segment_distance(s.b, t.a, t.b),
-        point_segment_distance(t.a, s.a, s.b),
-        point_segment_distance(t.b, s.a, s.b),
-    )
-
-
-# ---------------------------------------------------------------------------
 # polygon helpers
 # ---------------------------------------------------------------------------
-
-
-def polygon_signed_area(vertices: Sequence[Point2]) -> float:
-    n = len(vertices)
-    acc = 0.0
-    for i in range(n):
-        a = vertices[i]
-        b = vertices[(i + 1) % n]
-        acc += a.x * b.y - a.y * b.x
-    return 0.5 * acc
 
 
 def polygon_edges(vertices: Sequence[Point2]) -> list[Segment2]:
@@ -504,13 +446,6 @@ def _hint_angle(wall: Segment2, hint: Hint) -> float:
     elif hint != "left":
         raise MissingHint(f"unknown hint {hint!r}; expected 'left' or 'right'")
     return math.atan2(n.y, n.x)
-
-
-def free_wedges(domain: PlanarDomain, p: Point2, eps: float = EPS_GEOM) -> list[tuple[float, float]]:
-    """Angular intervals (start, span) of directions not blocked at boundary
-    point p, starts in [0, 2*pi) in increasing order.  An unconstrained
-    point yields one full turn."""
-    return wedges_from_rays(blocked_rays(np.array([p.as_tuple()]), *domain_arrays(domain)[:3], eps)[0][0])
 
 
 def inward_offsets(

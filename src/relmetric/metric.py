@@ -197,9 +197,7 @@ def rho(
     interior representatives at each offset delta.  A point on a slit needs a
     side hint because the two faces genuinely differ.  Unreachable pairs give
     value ``inf`` (a result, not an error)."""
-    cfg = cfg or MetricConfig()
-    reps = [_representatives(domain, t, h, cfg.offsets) for t, h in ((x, hint_x), (y, hint_y))]
-    est = _estimate(_face_lengths(_engine(domain), reps), reps, 0, 1, cfg)
+    est = distance_matrix(domain, [x, y], cfg, [hint_x, hint_y])[0][1]
     if warn and not est.converged:
         warnings.warn(
             f"offset schedule did not converge for ({x.x}, {x.y})-({y.x}, {y.y}): "
@@ -419,23 +417,23 @@ def check_property_circ(
 
 def check_rho_equals_ambient(
     domain: PlanarDomain,
-    pairs: Sequence[tuple[Point2, Point2]],
-    hints: Sequence[tuple[str | None, str | None]] | None = None,
+    points: Sequence[Point2],
+    hints: Sequence[str | None] | None = None,
 ) -> float:
-    """Max over pairs of |relative distance - Euclidean distance|.
+    """Max over pairs of the points of |relative distance - Euclidean
+    distance|.
 
-    `hints`, if given, parallels `pairs` as (hint_x, hint_y).  Uses the
-    closure evaluation so convex domains report zero up to float rounding
-    rather than offset-schedule error."""
-    if hints is None:
-        hints = [(None, None)] * len(pairs)
-    if len(hints) != len(pairs):
-        raise SpecInvalid("hints must parallel pairs")
+    `hints`, if given, parallels `points`.  Uses the closure evaluation, one
+    one-to-many search over the points, so convex domains report zero up to
+    float rounding rather than offset-schedule error."""
+    if hints is not None and len(hints) != len(points):
+        raise SpecInvalid("hints must parallel points")
+    paths = _engine(domain).shortest_paths(points, hints)
     worst = 0.0
-    engine = _engine(domain)
-    for (x, y), (hint_x, hint_y) in zip(pairs, hints):
-        res = engine.shortest_path(x, y, hint_a=hint_x, hint_b=hint_y)
-        if not res.reached:
-            raise UnreachableError(f"pair ({x.x},{x.y})-({y.x},{y.y}) unreachable")
-        worst = max(worst, abs(res.length - x.distance_to(y)))
+    for i, x in enumerate(points):
+        for j in range(i + 1, len(points)):
+            y, res = points[j], paths[i][j]
+            if not res.reached:
+                raise UnreachableError(f"pair ({x.x},{x.y})-({y.x},{y.y}) unreachable")
+            worst = max(worst, abs(res.length - x.distance_to(y)))
     return worst

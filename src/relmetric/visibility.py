@@ -252,10 +252,13 @@ class PreparedScene:
         self._rings = None if scene.boundary is None else domain_arrays(scene.boundary)[3:]
         self._walls = slice(0, n_walls)
         self._floor_edges = slice(n_walls, len(feats))
-        self._node_wedges: list[list[tuple[float, float]]] = []
-        for p, (rays, _) in zip(self.base_points, blocked_rays(self._P, self._FA, self._FB, self._angles)):
-            wedges = wedges_from_rays(rays)
-            self._node_wedges.append(self._viable_wedges(p, wedges) if len(wedges) > 1 else wedges)
+        self._node_wedges = [
+            wedges_from_rays(rays) for rays, _ in blocked_rays(self._P, self._FA, self._FB, self._angles)
+        ]
+        split = [i for i, wedges in enumerate(self._node_wedges) if len(wedges) > 1]
+        viable = self._viable_wedges(self._P[split], [self._node_wedges[i] for i in split])
+        for i, wedges in zip(split, viable):
+            self._node_wedges[i] = wedges
         self._nbrs: dict[int, list[int]] = {}
 
     # -- static structure --------------------------------------------------
@@ -278,14 +281,20 @@ class PreparedScene:
         return ok
 
     def _viable_wedges(
-        self, p: Point2, wedges: list[tuple[float, float]]
-    ) -> list[tuple[float, float]]:
-        """Drop wedge copies whose interior lies outside the allowed region
-        (the solid side of a wall, the inside of the floor polygon).  Without
-        this, a path could ride a wall straight through a slit junction."""
-        mids = np.array([w[0] + 0.5 * w[1] for w in wedges])
-        probes = np.stack([p.x + PROBE_DELTA * np.cos(mids), p.y + PROBE_DELTA * np.sin(mids)], axis=1)
-        return [w for w, ok in zip(wedges, self._region_mask(probes).tolist()) if ok]
+        self, P: np.ndarray, wedge_lists: list[list[tuple[float, float]]]
+    ) -> list[list[tuple[float, float]]]:
+        """For each point P[i], the wedges of wedge_lists[i] whose interior
+        lies in the allowed region (not the solid side of a wall, not the
+        inside of the floor polygon), tested with one region mask over a
+        probe on every wedge's bisector.  Without this, a path could ride a
+        wall straight through a slit junction."""
+        mids = np.array([w[0] + 0.5 * w[1] for wedges in wedge_lists for w in wedges])
+        owner = np.repeat(np.arange(len(wedge_lists)), [len(wedges) for wedges in wedge_lists])
+        probes = np.stack(
+            [P[owner, 0] + PROBE_DELTA * np.cos(mids), P[owner, 1] + PROBE_DELTA * np.sin(mids)], axis=1
+        )
+        ok = iter(self._region_mask(probes).tolist())
+        return [[w for w in wedges if next(ok)] for wedges in wedge_lists]
 
     # -- lazy visibility ----------------------------------------------------
 
@@ -342,7 +351,7 @@ class PreparedScene:
         wedges = wedges_from_rays(rays)
         if host is None or len(wedges) < 2:
             return wedges, True
-        viable = self._viable_wedges(p, wedges)
+        viable = self._viable_wedges(np.array([p.as_tuple()]), [wedges])[0]
         if hint is not None:
             th = _hint_angle(self.features[host], hint)
             chosen = [w for w in wedges if _in_wedge(th, w)] or wedges

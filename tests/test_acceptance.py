@@ -36,7 +36,6 @@ from relmetric.geom import (
     Region,
     Segment2,
     contains,
-    point_segment_distance,
 )
 from relmetric.metric import (
     check_metric_axioms,
@@ -52,6 +51,7 @@ from relmetric.rigidity import (
 )
 from relmetric.visibility import ObstacleScene, PreparedScene
 from relmetric.errors import SceneInvalid
+from _reference import point_segment_distance
 
 P = Point2
 TIME_BUDGET = 60.0

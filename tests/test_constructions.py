@@ -19,8 +19,6 @@ from relmetric.geom import (
     Region,
     Segment2,
     contains,
-    point_segment_distance,
-    segment_segment_distance,
 )
 from relmetric.constructions import (
     LEG_A,
@@ -47,6 +45,7 @@ from relmetric.constructions import (
     verify_pigeonhole,
     wedge_triangle,
 )
+from _reference import point_segment_distance, segment_segment_distance
 
 P = Point2
 
@@ -328,6 +327,18 @@ def test_defect_report_validates_levels():
 def test_random_slit_domain_deterministic():
     assert random_slit_domain(0) == random_slit_domain(0)
     assert random_slit_domain(0) != random_slit_domain(1)
+
+
+def test_random_slit_domain_matches_the_scalar_clearance(monkeypatch):
+    from relmetric import constructions
+
+    def scalar_clear_of(cand, others, clearance):
+        return all(segment_segment_distance(cand, o) >= clearance for o in others)
+
+    seeds = [(seed, slits) for slits in (2, 4) for seed in range(200)]
+    batched = [random_slit_domain(seed, slits) for seed, slits in seeds]
+    monkeypatch.setattr(constructions, "_clear_of", scalar_clear_of)
+    assert batched == [random_slit_domain(seed, slits) for seed, slits in seeds]
 
 
 def test_random_slit_domain_clearance():

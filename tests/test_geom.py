@@ -27,15 +27,18 @@ from relmetric.geom import (
     blocked_rays,
     contains,
     feature_arrays,
-    free_wedges,
     inward_offset,
+    point_array,
+)
+from relmetric.visibility import ObstacleScene, PreparedScene, circumscribed_polygon
+from _reference import (
+    free_wedges,
     orientation,
     point_segment_distance,
     polygon_signed_area,
     properly_cross,
     segment_segment_distance,
 )
-from relmetric.visibility import ObstacleScene, PreparedScene, circumscribed_polygon
 
 UNIT_SQUARE = [Point2(0, 0), Point2(1, 0), Point2(1, 1), Point2(0, 1)]
 
@@ -95,6 +98,61 @@ def test_segment_distance_symmetric(ax, ay, bx, by):
     assert segment_segment_distance(s, t) == pytest.approx(
         segment_segment_distance(t, s), abs=1e-12
     )
+
+
+# coordinates on a coarse grid make touching and collinear pairs common
+segment_coords = st.one_of(st.integers(-3, 3).map(float), coords)
+segments = (
+    st.tuples(*[segment_coords] * 4)
+    .filter(lambda c: math.hypot(c[2] - c[0], c[3] - c[1]) > EPS_GEOM)
+    .map(lambda c: Segment2(pt(c[0], c[1]), pt(c[2], c[3])))
+)
+
+
+def _ends(segs):
+    return point_array([s.a for s in segs]), point_array([s.b for s in segs])
+
+
+@given(st.lists(st.tuples(coords, coords), min_size=1, max_size=5), st.lists(segments, min_size=1, max_size=5))
+def test_distance_kernels_match_the_scalar_references(points, segs):
+    P, (A, B) = np.array(points), _ends(segs)
+    pts = [pt(*p) for p in points]
+    want = [[point_segment_distance(p, s.a, s.b) for s in segs] for p in pts]
+    assert np.allclose(_batch.point_seg_dists(P, A, B), want, rtol=0.0, atol=1e-12)
+    # segments from the first point to the others, against all points as nodes
+    want = [[point_segment_distance(n, pts[0], q) for n in pts] for q in pts]
+    assert np.allclose(_batch.seg_point_dists(P[0], P, P), want, rtol=0.0, atol=1e-12)
+    # every ordered pair of segments; the kernel's orientation test is exact
+    i, j = np.indices((len(segs), len(segs))).reshape(2, -1)
+    got = _batch.seg_pair_dists(A[i], B[i], A[j], B[j])
+    for g, k, m in zip(got, i, j):
+        assert g == pytest.approx(segment_segment_distance(segs[k], segs[m], 0.0), rel=0.0, abs=1e-12)
+        if properly_cross(segs[k], segs[m], 0.0):
+            assert g == 0.0
+
+
+def test_distance_kernels_on_fixed_cases():
+    # more segments than one block of the through-node kernel
+    rng = random.Random(5)
+    nodes = [pt(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(7)]
+    ends = [pt(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(2 * _batch._NODE_BLOCK + 3)]
+    src = pt(0.1, -0.2)
+    got = _batch.seg_point_dists(np.array(src.as_tuple()), point_array(ends), point_array(nodes))
+    want = [[point_segment_distance(n, src, q) for n in nodes] for q in ends]
+    assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+    # (a1, b1, a2, b2, distance): crossing and touching pairs meet; collinear
+    # pairs are measured at their endpoints, apart or overlapping
+    cases = [
+        ((0, 0), (2, 0), (1, -1), (1, 1), 0.0),
+        ((0, 0), (2, 0), (2, 0), (3, 1), 0.0),
+        ((0, 0), (2, 0), (1, 0), (1, 1), 0.0),
+        ((0, 0), (1, 0), (2, 0), (3, 0), 1.0),
+        ((0, 0), (1, 1), (2, 2), (3, 3), math.sqrt(2.0)),
+        ((0, 0), (2, 0), (1, 0), (3, 0), 0.0),
+        ((0, 0), (2, 0), (0, 1), (2, 1), 1.0),
+    ]
+    A1, B1, A2, B2 = (np.array([c[k] for c in cases], dtype=float) for k in range(4))
+    assert _batch.seg_pair_dists(A1, B1, A2, B2).tolist() == [c[4] for c in cases]
 
 
 def test_proper_crossing_vs_touching():

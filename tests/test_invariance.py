@@ -10,9 +10,10 @@ import math
 import random
 
 from relmetric.constructions import random_slit_domain
-from relmetric.geom import PlanarDomain, Point2, Region, Segment2, contains, point_segment_distance
+from relmetric.geom import PlanarDomain, Point2, Region, Segment2, contains
 from relmetric.metric import distance_matrix, matrix_values
 from relmetric.visibility import ObstacleScene, PreparedScene
+from _reference import point_segment_distance
 from test_acceptance import _free_point, _random_obstacles
 
 REL_TOL = 1e-9

@@ -237,8 +237,9 @@ def test_circ_rejects_non_boundary_samples():
 
 
 def test_ambient_agreement_and_gap(slit_dom):
-    assert check_rho_equals_ambient(
-        UNIT, [(P(0, 0), P(1, 1)), (P(0.2, 0.1), P(0.4, 0.9))]
-    ) <= 1e-12
-    gap = check_rho_equals_ambient(slit_dom, [(P(0.5, 1.0), P(1.5, 1.0))])
+    assert check_rho_equals_ambient(UNIT, [P(0, 0), P(1, 1), P(0.2, 0.1), P(0.4, 0.9)]) <= 1e-12
+    # the largest gap is the pair (0, 2), around the slit
+    gap = check_rho_equals_ambient(slit_dom, [P(0.5, 1.0), P(0.2, 0.2), P(1.5, 1.0)])
     assert gap == pytest.approx(2 * math.hypot(0.5, 0.5) - 1.0, abs=1e-9)
+    with pytest.raises(SpecInvalid):
+        check_rho_equals_ambient(UNIT, [P(0, 0), P(1, 1)], [None])

@@ -185,7 +185,7 @@ def _random_scene(rng):
 
 
 def _free_point(rng, scene):
-    from relmetric.geom import point_segment_distance
+    from _reference import point_segment_distance
 
     while True:
         p = P(rng.uniform(-0.3, 1.3), rng.uniform(-0.3, 1.3))

@@ -5,6 +5,9 @@ through a node and the midpoint region mask, each over every candidate.  The
 engine's row drops the mask (wedge gating keeps paths in the region) and
 tests passing through a node only on the candidates that cross nothing.
 Every pair must come out equal: reached, length and path vertices.
+
+The engine also tests the wedges of all its split nodes with one region
+mask; a reference that masks node by node must find the same wedges.
 """
 import math
 import random
@@ -25,9 +28,19 @@ from relmetric.constructions import (
     spiral_labyrinth,
 )
 from relmetric.errors import TerminalInsideFloor
-from relmetric.geom import EPS_GEOM, PlanarDomain, Point2, Region, Segment2, contains
+from relmetric.geom import (
+    EPS_GEOM,
+    PlanarDomain,
+    Point2,
+    Region,
+    Segment2,
+    blocked_rays,
+    contains,
+    wedges_from_rays,
+)
 from relmetric.rigidity import boundary_arc_points
 from relmetric.visibility import (
+    PROBE_DELTA,
     ObstacleScene,
     PreparedScene,
     _floor_radius_at,
@@ -161,3 +174,35 @@ def test_terminal_inside_the_floor_raises():
     with pytest.raises(TerminalInsideFloor) as exc:
         engine.shortest_paths([P(2, 0), P(4, 0), P(0.5, 0.5)])
     assert str(exc.value) == "terminal b lies strictly inside the floor polygon"
+
+
+def _per_node_wedges(engine):
+    """The engine's node wedges with one region mask per split node, and
+    the number of wedges the masks dropped."""
+    out, dropped = [], 0
+    for p, (rays, _) in zip(engine.base_points, blocked_rays(engine._P, engine._FA, engine._FB, engine._angles)):
+        wedges = wedges_from_rays(rays)
+        if len(wedges) > 1:
+            mids = np.array([w[0] + 0.5 * w[1] for w in wedges])
+            probes = np.stack([p.x + PROBE_DELTA * np.cos(mids), p.y + PROBE_DELTA * np.sin(mids)], axis=1)
+            kept = [w for w, ok in zip(wedges, engine._region_mask(probes).tolist()) if ok]
+            dropped += len(wedges) - len(kept)
+            wedges = kept
+        out.append(wedges)
+    return out, dropped
+
+
+def test_node_wedges_match_the_per_node_mask():
+    engines = [
+        PreparedScene(clipped_family_scene(range(1, J + 1)), floor=circumscribed_polygon(4.0 * 2.0**-J, m))
+        for J in (1, 2, 3)
+        for m in (12, 64, 256)
+    ]
+    engines += [PreparedScene(ObstacleScene.from_domain(comb_domain(CombSpec(depth=d)))) for d in (4, 8, 16)]
+    engines += [PreparedScene(ObstacleScene.from_domain(random_slit_domain(seed, 4))) for seed in range(10)]
+    dropped = 0
+    for engine in engines:
+        want, n = _per_node_wedges(engine)
+        assert engine._node_wedges == want
+        dropped += n
+    assert dropped > 0
