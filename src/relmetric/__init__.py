@@ -38,7 +38,6 @@ from .visibility import (
     ObstacleScene,
     PathResult,
     PreparedScene,
-    shortest_path,
     shortest_path_confined,
 )
 from .metric import (
@@ -70,7 +69,6 @@ from .constructions import (
     max_corner_detour_ratio,
     meridian_projection,
     random_slit_domain,
-    segment_family,
     spiral_labyrinth,
     triangle_defect_report,
     verify_length_bound,
@@ -84,8 +82,8 @@ from .rigidity import (
     boundary_arc_points,
     boundary_profile,
     compare_profiles,
-    convexity_transfer_test,
     euclidean_congruence,
+    transfer_from_profiles,
 )
 from .sceneio import Scene, load_scene, parse_scene, save_scene, scene_to_json
 

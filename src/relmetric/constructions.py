@@ -183,15 +183,6 @@ def _level_segments(j: int) -> list[Segment2]:
     return out
 
 
-def segment_family(spec: SegmentFamilySpec) -> list[Segment2]:
-    """All rays of levels 1..spec.levels; level j holds floor((2*pi)^j) rays
-    at angles k*(2*pi)^(-j)*(pi/6), radii spanning [2^-j, 11*2^-j]."""
-    out: list[Segment2] = []
-    for j in range(1, spec.levels + 1):
-        out.extend(_level_segments(j))
-    return out
-
-
 def wedge_triangle(scale: float = TRIANGLE_SCALE) -> PlanarDomain:
     return PlanarDomain(
         (Point2(0.0, 0.0), LEG_A.scaled(scale), LEG_D.scaled(scale)), (), ()
@@ -275,6 +266,9 @@ def confined_route(
 
 
 # -- pigeonhole over annulus layers -----------------------------------------
+
+# how far a checked path's ends may lie from the leg points LEG_A and LEG_D
+_END_TOL = 1e-3
 
 
 def layer_bounds(j: int) -> tuple[float, float]:
@@ -362,12 +356,7 @@ def _union_measure(intervals: list[tuple[float, float]]) -> float:
     return min(total, 2.0 * math.pi)
 
 
-def verify_pigeonhole(
-    path: Polyline,
-    levels: int,
-    end_tol: float = 1e-3,
-    check_endpoints: bool = True,
-) -> tuple[int, float]:
+def verify_pigeonhole(path: Polyline, levels: int) -> tuple[int, float]:
     """Find a layer j0 whose attained angular set has measure at least
     2^-j0 * pi/6.
 
@@ -375,7 +364,8 @@ def verify_pigeonhole(
     [0, pi/6] somewhere, and the layers tile the radial range, so the
     angular measures attained per layer sum to at least pi/6; since the
     targets sum to less than pi/6, some layer must meet its target.  A miss
-    therefore indicates a bug, not a property of the input.
+    therefore indicates a bug, not a property of the input.  The path must
+    join LEG_A and LEG_D, in either direction, within 1e-3.
     """
     if levels < 1:
         raise SpecInvalid(f"levels must be >= 1, got {levels}")
@@ -383,11 +373,10 @@ def verify_pigeonhole(
     verts = path.vertices
     if len(verts) < 2:
         raise PathNotConfined("path must have at least two vertices")
-    if check_endpoints:
-        ok_fwd = verts[0].distance_to(LEG_A) <= end_tol and verts[-1].distance_to(LEG_D) <= end_tol
-        ok_rev = verts[0].distance_to(LEG_D) <= end_tol and verts[-1].distance_to(LEG_A) <= end_tol
-        if not (ok_fwd or ok_rev):
-            raise PathNotConfined("path does not join the two wedge legs")
+    ok_fwd = verts[0].distance_to(LEG_A) <= _END_TOL and verts[-1].distance_to(LEG_D) <= _END_TOL
+    ok_rev = verts[0].distance_to(LEG_D) <= _END_TOL and verts[-1].distance_to(LEG_A) <= _END_TOL
+    if not (ok_fwd or ok_rev):
+        raise PathNotConfined("path does not join the two wedge legs")
     for v in verts:
         if not r_floor - 1e-9 <= v.norm() <= 4.0 + 1e-9:
             raise PathNotConfined(
@@ -442,22 +431,12 @@ class SpiralSpec:
                 "pitch too large: the spiral would reach the origin"
             )
 
-    @classmethod
-    def from_cone_point(
-        cls, j: int, k: int, coils: int, pitch: float, samples_per_coil: int = 64
-    ) -> "SpiralSpec":
-        """Spec whose start radius is the axis distance of the level-j,
-        index-k cone point (radius 2^-j at angle k*(2*pi)^-j*(pi/6))."""
-        phi = k * (2.0 * math.pi) ** (-j) * WEDGE_ANGLE
-        return cls(2.0**-j * math.sin(phi), coils, pitch, samples_per_coil)
-
 
 @dataclass(frozen=True)
 class SpiralLabyrinth:
     scene: ObstacleScene
     entrance: Point2
     exit: Point2
-    spiral: Polyline
 
 
 def spiral_labyrinth(spec: SpiralSpec) -> SpiralLabyrinth:
@@ -480,7 +459,7 @@ def spiral_labyrinth(spec: SpiralSpec) -> SpiralLabyrinth:
     exit_pt = Point2(
         spec.start_radius - (2.0 * spec.coils - 1.0) * math.pi * spec.pitch, 0.0
     )
-    return SpiralLabyrinth(scene, entrance, exit_pt, Polyline(tuple(pts)))
+    return SpiralLabyrinth(scene, entrance, exit_pt)
 
 
 def _labyrinth_length(spec: SpiralSpec) -> float:
@@ -565,15 +544,12 @@ class StripsReport:
         return self.min_distance > 0.0
 
 
-def meridian_projection(p: Point3, axis: Point3 = Point3(1.0, 0.0, 0.0)) -> Point2:
-    """Rotate `p` about the axis into the meridian half-plane: the image is
-    (axial coordinate, distance from the axis).  Exactly norm-preserving and
-    1-Lipschitz, which is what makes trapezium distances certify strip
+def meridian_projection(p: Point3) -> Point2:
+    """Rotate `p` about the x axis into the meridian half-plane: the image
+    is (axial coordinate, distance from the axis).  Exactly norm-preserving
+    and 1-Lipschitz, which is what makes trapezium distances certify strip
     distances."""
-    an = axis.norm()
-    if an <= EPS_GEOM:
-        raise SpecInvalid("projection axis must be nonzero")
-    s = (p.x * axis.x + p.y * axis.y + p.z * axis.z) / an
+    s = p.x
     norm = p.norm()
     r = math.sqrt(max(norm * norm - s * s, 0.0))
     if math.atan2(r, s) > WEDGE_ANGLE + 1e-9:
@@ -610,16 +586,7 @@ def _strip_for(j: int, k: int, spec: SpiralSpec) -> tuple[Strip3, Trapezium]:
             Point2(c, rho_end),
         ),
     )
-    strip = Strip3(
-        level=j,
-        index=k,
-        base_angle=phi,
-        axis_coord=c,
-        base_radius=rho0,
-        pitch=spec.pitch,
-        rulings=tuple(rulings),
-    )
-    return strip, trap
+    return Strip3(level=j, index=k, rulings=tuple(rulings)), trap
 
 
 def _auto_pitch(j: int, k: int, gap_below: float, coils: int) -> float:
@@ -653,16 +620,6 @@ def _seg_dist_3d(a0: Point3, a1: Point3, b0: Point3, b1: Point3) -> float:
     s = np.clip((b * t - d) / a, 0.0, 1.0) if a > 1e-15 else 0.0
     diff = w0 + s * u - t * v
     return float(np.sqrt(diff @ diff))
-
-
-def _trap_arrays(traps: Sequence[Trapezium]):
-    sides_a = np.empty((len(traps), 4, 2))
-    sides_b = np.empty((len(traps), 4, 2))
-    for i, tr in enumerate(traps):
-        for s, side in enumerate(tr.sides()):
-            sides_a[i, s] = side.a.as_tuple()
-            sides_b[i, s] = side.b.as_tuple()
-    return sides_a, sides_b
 
 
 def build_strips(
@@ -714,54 +671,32 @@ def build_strips(
         strip, trap = _strip_for(j, k, sp)
         strips.append(strip)
         traps.append(trap)
-        for base, top in strip.rulings:
-            # residual of the outer ruling endpoint against the ray through
-            # the inner one: |base x top| / |top|
-            cx = base.y * top.z - base.z * top.y
-            cy = base.z * top.x - base.x * top.z
-            cz = base.x * top.y - base.y * top.x
-            ray_residual = max(
-                ray_residual,
-                math.sqrt(cx * cx + cy * cy + cz * cz) / max(top.norm(), 1e-300),
-            )
+        # residual of the outer ruling endpoint against the ray through the
+        # inner one: |base x top| / |top|
+        R = np.array([(base.as_tuple(), top.as_tuple()) for base, top in strip.rulings])
+        c = np.cross(R[:, 0], R[:, 1])
+        res = np.sqrt((c * c).sum(axis=1)) / np.maximum(np.sqrt((R[:, 1] ** 2).sum(axis=1)), 1e-300)
+        ray_residual = max(ray_residual, float(res.max()))
 
-    n = len(strips)
-    sides_a, sides_b = _trap_arrays(traps)
-    ii, jj = np.triu_indices(n, k=1)
-    min_dist = math.inf
-    closest = None
-    fallback = 0
-    if len(ii):
-        # all 16 side pairings for every trapezium pair, in one shot
-        si, sj = np.meshgrid(np.arange(4), np.arange(4), indexing="ij")
-        si = si.ravel()
-        sj = sj.ravel()
-        I = np.repeat(ii, 16)
-        J = np.repeat(jj, 16)
-        SI = np.tile(si, len(ii))
-        SJ = np.tile(sj, len(ii))
-        d = _batch.seg_pair_dists(
-            sides_a[I, SI], sides_b[I, SI], sides_a[J, SJ], sides_b[J, SJ]
+    # all 16 side pairings for every trapezium pair, in one shot; level 1
+    # alone has six rays, so there are always pairs
+    ii, jj = np.triu_indices(len(strips), k=1)
+    A = np.array([[v.as_tuple() for v in t.vertices] for t in traps])
+    B = np.roll(A, -1, axis=1)
+    pairs = np.broadcast_arrays(A[ii, :, None], B[ii, :, None], A[jj, None, :], B[jj, None, :])
+    pair_d = _batch.seg_pair_dists(*pairs).reshape(len(ii), 16).min(axis=1)
+    # trapezia that touch or overlap are certified in 3-D
+    touching = np.nonzero(pair_d <= 0.0)[0]
+    for p in touching:
+        pair_d[p] = min(
+            _seg_dist_3d(r1[0], r1[1], r2[0], r2[1])
+            for r1 in strips[ii[p]].rulings
+            for r2 in strips[jj[p]].rulings
         )
-        pair_d = d.reshape(len(ii), 16).min(axis=1)
-        for p in range(len(ii)):
-            dist = float(pair_d[p])
-            if dist <= 0.0:
-                # trapezia touch or overlap; certify this pair in 3-D
-                fallback += 1
-                dist = min(
-                    _seg_dist_3d(r1[0], r1[1], r2[0], r2[1])
-                    for r1 in strips[ii[p]].rulings
-                    for r2 in strips[jj[p]].rulings
-                )
-            if dist < min_dist:
-                min_dist = dist
-                closest = (
-                    (strips[ii[p]].level, strips[ii[p]].index),
-                    (strips[jj[p]].level, strips[jj[p]].index),
-                )
+    p = int(np.argmin(pair_d))
+    closest = (strips[ii[p]].level, strips[ii[p]].index), (strips[jj[p]].level, strips[jj[p]].index)
     return StripsReport(
-        tuple(strips), tuple(traps), min_dist, closest, ray_residual, fallback
+        tuple(strips), tuple(traps), float(pair_d[p]), closest, ray_residual, len(touching)
     )
 
 
@@ -773,6 +708,7 @@ def max_corner_detour_ratio(trap: Trapezium, samples: int = 1024) -> float:
     1/sin(theta/2) for corner angle theta; the trapezia keep every corner
     angle at least pi/3, so the ratio stays at or below 2."""
     grid = max(2, math.ceil(math.sqrt(samples / 4.0)))
+    frac = np.arange(1, grid + 1) / grid
     verts = trap.vertices
     worst = 0.0
     for ci in range(4):
@@ -781,26 +717,24 @@ def max_corner_detour_ratio(trap: Trapezium, samples: int = 1024) -> float:
         next_v = verts[(ci + 1) % 4]
         len_p = v.distance_to(prev_v)
         len_n = v.distance_to(next_v)
-        pairs = [
-            (i / grid * len_p, k / grid * len_n)
-            for i in range(1, grid + 1)
-            for k in range(1, grid + 1)
-        ]
-        # the ratio peaks on the equal-length diagonal s == t, which the
-        # fraction grid misses when the two sides differ a lot in length
-        short = min(len_p, len_n)
-        pairs.extend((i / grid * short, i / grid * short) for i in range(1, grid + 1))
-        for s, t in pairs:
-            a = Point2(
-                v.x + s / len_p * (prev_v.x - v.x), v.y + s / len_p * (prev_v.y - v.y)
-            )
-            b = Point2(
-                v.x + t / len_n * (next_v.x - v.x), v.y + t / len_n * (next_v.y - v.y)
-            )
-            base = a.distance_to(b)
-            if base <= EPS_GEOM:
-                continue
-            worst = max(worst, (a.distance_to(v) + v.distance_to(b)) / base)
+        # the (s, t) arc lengths along the two sides: a fraction grid, then
+        # the equal-length diagonal s == t, where the ratio peaks and which
+        # the grid misses when the two sides differ a lot in length
+        short = frac * min(len_p, len_n)
+        s = np.concatenate([np.repeat(frac, grid) * len_p, short])
+        t = np.concatenate([np.tile(frac, grid) * len_n, short])
+        ax, ay = v.x + s / len_p * (prev_v.x - v.x), v.y + s / len_p * (prev_v.y - v.y)
+        bx, by = v.x + t / len_n * (next_v.x - v.x), v.y + t / len_n * (next_v.y - v.y)
+        keep = np.hypot(ax - bx, ay - by) > EPS_GEOM
+        ax, ay, bx, by = ax[keep], ay[keep], bx[keep], by[keep]
+        legs = np.hypot(ax - v.x, ay - v.y) + np.hypot(v.x - bx, v.y - by)
+        ratio = legs / np.hypot(ax - bx, ay - by)
+        # np.hypot and math.hypot may round differently in the last bit, so
+        # the pairs within rounding of the largest ratio are evaluated again
+        # as scalars
+        for k in np.nonzero(ratio >= ratio.max() * (1.0 - 1e-12))[0]:
+            a, b = Point2(ax[k], ay[k]), Point2(bx[k], by[k])
+            worst = max(worst, (a.distance_to(v) + v.distance_to(b)) / a.distance_to(b))
     return worst
 
 
@@ -810,7 +744,6 @@ class TriangleDefectReport:
     confined_length: float
     detour_ratio_bound: float
     projected_lower_bound: float
-    leg_lengths: tuple[float, float]
     legs_total: float
     escape_length: float
     defect_confirmed: bool
@@ -831,18 +764,16 @@ def triangle_defect_report(levels: int = 2) -> TriangleDefectReport:
         raise SpecInvalid("defect report is defined for levels 2 or 3")
     _, confined = verify_length_bound(SegmentFamilySpec(levels))
     projected = 0.4 * confined
-    legs = (1.0, 1.0)
-    report = TriangleDefectReport(
+    legs_total = 2.0  # two unit legs
+    return TriangleDefectReport(
         levels=levels,
         confined_length=confined,
         detour_ratio_bound=2.5,
         projected_lower_bound=projected,
-        leg_lengths=legs,
-        legs_total=sum(legs),
+        legs_total=legs_total,
         escape_length=ESCAPE_LENGTH,
-        defect_confirmed=projected > sum(legs) and ESCAPE_LENGTH > 4.0,
+        defect_confirmed=projected > legs_total and ESCAPE_LENGTH > 4.0,
     )
-    return report
 
 
 # ---------------------------------------------------------------------------

@@ -91,11 +91,6 @@ class Point3:
     def scaled(self, k: float) -> "Point3":
         return Point3(self.x * k, self.y * k, self.z * k)
 
-    def distance_to(self, other: "Point3") -> float:
-        return math.sqrt(
-            (self.x - other.x) ** 2 + (self.y - other.y) ** 2 + (self.z - other.z) ** 2
-        )
-
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.x, self.y, self.z)
 
@@ -530,8 +525,4 @@ class Strip3:
 
     level: int
     index: int
-    base_angle: float
-    axis_coord: float
-    base_radius: float
-    pitch: float
     rulings: tuple[tuple[Point3, Point3], ...]

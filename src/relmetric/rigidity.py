@@ -9,8 +9,6 @@ sets with equal distance matrices are congruent.
 """
 from __future__ import annotations
 
-import hashlib
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +35,6 @@ _MAX_ROUNDS = 60
 class BoundaryProfile:
     samples: tuple[Point2, ...]
     matrix: np.ndarray
-    domain_id: str
 
     def __post_init__(self) -> None:
         m = len(self.samples)
@@ -120,19 +117,6 @@ def boundary_arc_points(domain: PlanarDomain, m: int) -> list[Point2]:
     ]
 
 
-def domain_digest(domain: PlanarDomain) -> str:
-    h = hashlib.sha1()
-    for p in domain.outer:
-        h.update(f"{p.x:.12g},{p.y:.12g};".encode())
-    for hole in domain.holes:
-        h.update(b"|")
-        for p in hole:
-            h.update(f"{p.x:.12g},{p.y:.12g};".encode())
-    for s in domain.slits:
-        h.update(f"/{s.a.x:.12g},{s.a.y:.12g},{s.b.x:.12g},{s.b.y:.12g}".encode())
-    return h.hexdigest()[:16]
-
-
 def boundary_profile(domain: PlanarDomain, m: int) -> BoundaryProfile:
     """Sample the outer boundary at m points whose consecutive boundary
     distances agree within 1%, anchored at the first polygon vertex, and
@@ -193,7 +177,7 @@ def boundary_profile(domain: PlanarDomain, m: int) -> BoundaryProfile:
     for i in range(m):
         for j in range(i + 1, m):
             M[i, j] = M[j, i] = paths[i][j].length
-    return BoundaryProfile(tuple(samples), M, domain_digest(domain))
+    return BoundaryProfile(tuple(samples), M)
 
 
 def compare_profiles(p1: BoundaryProfile, p2: BoundaryProfile) -> AlignmentResult:
@@ -246,26 +230,6 @@ def euclidean_congruence(
     return CongruenceResult(gap <= tol, gap)
 
 
-def convexity_transfer_test(
-    first: PlanarDomain,
-    second: PlanarDomain,
-    m: int,
-    eta: float,
-    tol: float = 1e-9,
-) -> TransferReport:
-    """If the first domain is strictly convex at resolution (m, eta) and the
-    second has a matching boundary profile, the second must test strictly
-    convex at the same resolution; report agreement.
-
-    A failure with matched profiles is flagged for review rather than
-    declared a counterexample: at polygonal resolution the convexity verdict
-    depends on the sampling, so the flag means "re-run finer", not "found".
-    """
-    return transfer_from_profiles(
-        first, second, boundary_profile(first, m), boundary_profile(second, m), eta, tol
-    )
-
-
 def transfer_from_profiles(
     first: PlanarDomain,
     second: PlanarDomain,
@@ -274,8 +238,15 @@ def transfer_from_profiles(
     eta: float,
     tol: float = 1e-9,
 ) -> TransferReport:
-    """The steps of :func:`convexity_transfer_test` after profiling, on the
-    two domains' profiles already built."""
+    """If the first domain is strictly convex at resolution (m, eta) and the
+    second has a matching boundary profile, the second must test strictly
+    convex at the same resolution; report agreement.  ``prof1`` and
+    ``prof2`` are the two domains' profiles at m samples.
+
+    A failure with matched profiles is flagged for review rather than
+    declared a counterexample: at polygonal resolution the convexity verdict
+    depends on the sampling, so the flag means "re-run finer", not "found".
+    """
     conv1: ConvexityReport = check_strict_convexity(first, list(prof1.samples), eta)
     align = compare_profiles(prof1, prof2)
     applicable = conv1.strictly_convex and align.residual <= tol

@@ -342,6 +342,19 @@ class PreparedScene:
             idx = int(near[0]) if near.size else None
         return idx
 
+    def _node_face(self, p: Point2, node: int, hint: str) -> list[tuple[float, float]]:
+        """The wedges of base node `node`, at p, that hold the hinted normal
+        of the first two-sided feature (obstacle segment or slit) within
+        EPS_GEOM of p; none when no such feature meets p."""
+        slits = () if self.scene.boundary is None else self.scene.boundary.slits
+        two = np.r_[: len(self.scene.segments), self._walls.stop - len(slits) : self._walls.stop]
+        near = _batch.point_seg_dists(np.array([p.as_tuple()]), self._FA[two], self._FB[two])[0]
+        hit = two[near <= EPS_GEOM]
+        if not hit.size:
+            return []
+        th = _hint_angle(self.features[hit[0]], hint)
+        return [w for w in self._node_wedges[node] if _in_wedge(th, w)]
+
     def _terminal_wedges(
         self, p: Point2, rays: list[float], host: int | None, hint: str | None, label: str
     ) -> tuple[list[tuple[float, float]], bool]:
@@ -400,11 +413,12 @@ class PreparedScene:
         snapped = [self._snap(t) for t in points]
         off = [c for c in range(k) if snapped[c] is None]
         rays = dict(zip(off, blocked_rays(T[off], self._FA, self._FB, self._angles)))
-        # point c, when off-node, is node n + c of the query graph
-        nodes = [n + c if s is None else s for c, s in enumerate(snapped)]
         node_wedges = self._node_wedges + [[] for _ in range(k)]
         labels = "a" + "b" * (k - 1)
         exposed: set[int] = set()
+        # a hinted point at a split base node is off-node too, on the
+        # hinted face of that node
+        at_node: dict[int, int] = {}
         # checks in the order of the pairs: the pair (0, 1) checks both
         # positions before either point's wedges; a later point c comes with
         # the pair (0, c)
@@ -421,6 +435,13 @@ class PreparedScene:
                 node_wedges[n + c] = wedges
                 if not in_region:
                     exposed.add(c)
+            elif hints[c] is not None and len(self._node_wedges[snapped[c]]) > 1:
+                face = self._node_face(points[c], snapped[c], hints[c])
+                if face:
+                    node_wedges[n + c], at_node[c], snapped[c] = face, snapped[c], None
+        off += list(at_node)
+        # point c, when off-node, is node n + c of the query graph
+        nodes = [n + c if s is None else s for c, s in enumerate(snapped)]
 
         # rows of the off-node points; column n + j is point j
         positions = self.base_points + list(points)
@@ -428,14 +449,17 @@ class PreparedScene:
         base_row: dict[int, list[int]] = {}
         point_row: dict[int, list[int]] = {}
         for c in off:
-            row = self._visibility(T[c], Q)
+            row = self._visibility(T[c], Q, at_node.get(c))
             if c in exposed:
                 # a wedge outside the region: keep the edges whose
                 # midpoints lie in it
                 row = row[self._region_mask(0.5 * (T[c] + Q[row]))]
             row = row.tolist()
             cut = bisect.bisect_left(row, n)
-            base_row[c], point_row[c] = row[:cut], row[cut:]
+            base_row[c] = row[:cut]
+            # the through-node test rejects a point at a base node, which is
+            # seen wherever its node is
+            point_row[c] = row[cut:] + [n + d for d, b in at_node.items() if b in base_row[c]]
 
         for i in range(k - 1):
             src = nodes[i]
@@ -545,17 +569,6 @@ class PreparedScene:
         return results
 
 
-def shortest_path(
-    scene: ObstacleScene,
-    a: Point2,
-    b: Point2,
-    hint_a: str | None = None,
-    hint_b: str | None = None,
-) -> PathResult:
-    """Shortest obstacle-avoiding path between a and b in the scene."""
-    return PreparedScene(scene).shortest_path(a, b, hint_a=hint_a, hint_b=hint_b)
-
-
 def shortest_path_confined(
     scene: ObstacleScene,
     a: Point2,
@@ -577,7 +590,7 @@ def shortest_path_confined(
     and the snap distances are reported.
     """
     if r_min <= 0.0:
-        res = shortest_path(scene, a, b, hint_a=hint_a, hint_b=hint_b)
+        res = PreparedScene(scene).shortest_path(a, b, hint_a=hint_a, hint_b=hint_b)
         return ConfinedPathResult(res.reached, res.length, res.path, (), 0.0, 0.0)
     floor = circumscribed_polygon(r_min, m_circle)
     used = []

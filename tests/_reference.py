@@ -1,4 +1,5 @@
-"""Scalar references for the array kernels of :mod:`relmetric._batch`.
+"""Scalar references for the array code of the package: the kernels of
+:mod:`relmetric._batch` and the strips' corner detour ratio.
 
 The package evaluates every predicate with array kernels; these one-at-a-time
 versions are kept for the tests to compare against.  The orientation
@@ -6,6 +7,7 @@ tolerance is absolute on twice the signed area, as in the kernels.
 """
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -19,6 +21,7 @@ from relmetric.geom import (
     domain_arrays,
     wedges_from_rays,
 )
+from relmetric.constructions import Trapezium
 
 
 def orientation(p: Point2, q: Point2, r: Point2, eps: float = EPS_GEOM) -> int:
@@ -80,3 +83,39 @@ def free_wedges(domain: PlanarDomain, p: Point2, eps: float = EPS_GEOM) -> list[
     point p, starts in [0, 2*pi) in increasing order.  An unconstrained
     point yields one full turn."""
     return wedges_from_rays(blocked_rays(np.array([p.as_tuple()]), *domain_arrays(domain)[:3], eps)[0][0])
+
+
+def max_corner_detour_ratio(trap: Trapezium, samples: int = 1024) -> float:
+    """Worst ratio (|av| + |vb|) / |ab| over triangles with one vertex at a
+    trapezium corner and the others on its two incident sides, one (s, t)
+    sample at a time."""
+    grid = max(2, math.ceil(math.sqrt(samples / 4.0)))
+    verts = trap.vertices
+    worst = 0.0
+    for ci in range(4):
+        v = verts[ci]
+        prev_v = verts[(ci - 1) % 4]
+        next_v = verts[(ci + 1) % 4]
+        len_p = v.distance_to(prev_v)
+        len_n = v.distance_to(next_v)
+        pairs = [
+            (i / grid * len_p, k / grid * len_n)
+            for i in range(1, grid + 1)
+            for k in range(1, grid + 1)
+        ]
+        # the ratio peaks on the equal-length diagonal s == t, which the
+        # fraction grid misses when the two sides differ a lot in length
+        short = min(len_p, len_n)
+        pairs.extend((i / grid * short, i / grid * short) for i in range(1, grid + 1))
+        for s, t in pairs:
+            a = Point2(
+                v.x + s / len_p * (prev_v.x - v.x), v.y + s / len_p * (prev_v.y - v.y)
+            )
+            b = Point2(
+                v.x + t / len_n * (next_v.x - v.x), v.y + t / len_n * (next_v.y - v.y)
+            )
+            base = a.distance_to(b)
+            if base <= EPS_GEOM:
+                continue
+            worst = max(worst, (a.distance_to(v) + v.distance_to(b)) / base)
+    return worst

@@ -7,7 +7,6 @@ import pytest
 from relmetric.cli import main
 from relmetric.errors import SceneInvalid
 from relmetric.geom import PlanarDomain, Point2, Segment2
-from relmetric.metric import MetricConfig
 from relmetric.sceneio import (
     Scene,
     canonical_float,

@@ -6,13 +6,11 @@ import math
 import pytest
 
 from relmetric.errors import (
-    GeometryError,
     OutsideCone,
     PathNotConfined,
     SpecInvalid,
 )
 from relmetric.geom import (
-    PlanarDomain,
     Point2,
     Point3,
     Polyline,
@@ -27,7 +25,6 @@ from relmetric.constructions import (
     CombSpec,
     SegmentFamilySpec,
     SpiralSpec,
-    Trapezium,
     build_strips,
     clipped_family_scene,
     comb_divergence,
@@ -45,6 +42,7 @@ from relmetric.constructions import (
     verify_pigeonhole,
     wedge_triangle,
 )
+from _reference import max_corner_detour_ratio as scalar_detour_ratio
 from _reference import point_segment_distance, segment_segment_distance
 
 P = Point2
@@ -226,12 +224,6 @@ def test_spiral_spec_validation():
         SpiralSpec(1.0, 1, 0.01, samples_per_coil=4)
 
 
-def test_spec_from_cone_point():
-    sp = SpiralSpec.from_cone_point(1, 1, 1, 1e-3)
-    phi = (2.0 * math.pi) ** -1 * WEDGE_ANGLE
-    assert sp.start_radius == pytest.approx(0.5 * math.sin(phi), abs=1e-15)
-
-
 def test_single_coil_is_degenerate():
     lab = spiral_labyrinth(SpiralSpec(1.0, 1, 0.05))
     assert lab.entrance.distance_to(lab.exit) == pytest.approx(0.0, abs=1e-12)
@@ -266,6 +258,21 @@ def test_strips_counts_and_disjointness(strips2):
     assert strips2.fallback_pairs == 0
 
 
+def test_overlapping_trapezia_fall_back_to_3d():
+    # steep spirals on rays 2 and 4 of level 1 widen their trapezia onto
+    # their neighbours; those pairs are measured between the rulings
+    step = (2.0 * math.pi) ** -1 * WEDGE_ANGLE
+    steep = {}
+    for k in (2, 4):
+        r0 = 0.5 * math.sin(k * step)
+        steep[(1, k)] = SpiralSpec(r0, 1, 0.9 * r0 / (2.0 * math.pi), 8)
+    rep = build_strips(SegmentFamilySpec(1), coils=1, samples_per_coil=8, spirals=steep)
+    assert rep.fallback_pairs == 4
+    assert rep.disjoint
+    assert rep.min_distance == pytest.approx(0.0015719724357802492, abs=1e-12)
+    assert rep.closest_pair == ((1, 1), (1, 2))
+
+
 def test_strip_matches_its_trapezium(strips2):
     for strip, trap in zip(strips2.strips, strips2.trapezia):
         assert (strip.level, strip.index) == (trap.level, trap.index)
@@ -289,8 +296,14 @@ def test_meridian_projection_properties():
     assert q.y == pytest.approx(math.hypot(0.1, 0.05), abs=1e-15)
     with pytest.raises(OutsideCone):
         meridian_projection(Point3(0.3, -1.2, 0.7))
-    with pytest.raises(SpecInvalid):
-        meridian_projection(p, axis=Point3(0, 0, 0))
+
+
+@pytest.mark.parametrize("levels", [1, 2, 3])
+def test_detour_ratio_matches_scalar_reference(levels):
+    # the array version keeps the scalar arithmetic, so the values are equal
+    for trap in build_strips(SegmentFamilySpec(levels)).trapezia:
+        for samples in (256, 1024):
+            assert max_corner_detour_ratio(trap, samples) == scalar_detour_ratio(trap, samples)
 
 
 def test_detour_ratio_bound(strips2):

@@ -131,6 +131,25 @@ def test_unhinted_junction_takes_the_nearer_face():
         assert abs(M[0, 1] - exact) <= cfg.tol_metric
 
 
+@pytest.mark.parametrize(
+    "slits, x",
+    [
+        ([(P(0, 0.5), P(0.6, 0.5))], P(0, 0.5)),
+        ([(P(0.2, 0.5), P(0.5, 0.5)), (P(0.5, 0.5), P(0.8, 0.5))], P(0.5, 0.5)),
+    ],
+    ids=["slit-wall junction", "slit-slit joint"],
+)
+def test_hint_at_a_junction_selects_its_face(slits, x):
+    # the closure evaluation, from either end, takes the hinted face as the
+    # offsets do
+    dom = PlanarDomain(UNIT.outer, slits=tuple(Segment2(a, b) for a, b in slits))
+    for hint in (None, "left", "right"):
+        for y in (P(0.3, 0.6), P(0.3, 0.4)):
+            value = rho(dom, x, y, hint_x=hint).value
+            assert abs(closure_distance(dom, x, y, hint_x=hint).length - value) <= 1e-6
+            assert abs(closure_distance(dom, y, x, hint_y=hint).length - value) <= 1e-6
+
+
 def test_outside_point_rejected():
     with pytest.raises(SceneInvalid):
         rho(UNIT, P(2.0, 2.0), P(0.5, 0.5))

@@ -16,9 +16,8 @@ from relmetric.rigidity import (
     boundary_arc_points,
     boundary_profile,
     compare_profiles,
-    convexity_transfer_test,
-    domain_digest,
     euclidean_congruence,
+    transfer_from_profiles,
 )
 
 P = Point2
@@ -54,14 +53,6 @@ def test_arc_points_on_boundary():
     assert len(pts) == 9
     for p in pts:
         assert contains(dom, p) is Region.BOUNDARY
-
-
-def test_digest_stable_and_discriminating():
-    sq = PlanarDomain([P(0, 0), P(1, 0), P(1, 1), P(0, 1)])
-    rect = PlanarDomain([P(0, 0), P(2, 0), P(2, 1), P(0, 1)])
-    assert domain_digest(sq) == domain_digest(sq)
-    assert domain_digest(sq) != domain_digest(rect)
-    assert len(domain_digest(sq)) == 16
 
 
 # -- profiles ---------------------------------------------------------------------
@@ -167,7 +158,7 @@ def test_size_mismatch_rejected():
 def test_transfer_on_matching_round_bodies():
     first = PlanarDomain(regular_ngon(24))
     second = PlanarDomain(rotated(regular_ngon(24), 0.3, offset=P(1.5, 0.5)))
-    rep = convexity_transfer_test(first, second, m=8, eta=0.05)
+    rep = transfer_from_profiles(first, second, boundary_profile(first, 8), boundary_profile(second, 8), 0.05)
     assert rep.applicable
     assert rep.first_strictly_convex
     assert rep.profile_residual <= 1e-9
@@ -180,6 +171,6 @@ def test_transfer_on_matching_round_bodies():
 def test_transfer_not_applicable_without_profile_match():
     first = PlanarDomain(regular_ngon(24))
     second = PlanarDomain(regular_ngon(24, r=1.4))
-    rep = convexity_transfer_test(first, second, m=8, eta=0.05)
+    rep = transfer_from_profiles(first, second, boundary_profile(first, 8), boundary_profile(second, 8), 0.05)
     assert not rep.applicable
     assert rep.note

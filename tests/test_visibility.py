@@ -14,7 +14,6 @@ from relmetric.geom import PlanarDomain, Point2, Segment2
 from relmetric.visibility import (
     ObstacleScene,
     PreparedScene,
-    shortest_path,
     shortest_path_confined,
 )
 
@@ -34,7 +33,7 @@ def slit_square():
 
 def test_free_plane_straight_line():
     scene = ObstacleScene(segments=(seg(5, 5, 6, 6),))
-    res = shortest_path(scene, P(0, 0), P(3, 4))
+    res = PreparedScene(scene).shortest_path(P(0, 0), P(3, 4))
     assert res.reached
     assert res.length == pytest.approx(5.0, abs=1e-12)
     assert len(res.path.vertices) == 2
@@ -43,7 +42,7 @@ def test_free_plane_straight_line():
 def test_single_wall_detour_exact():
     # wall of height 2 centered on the straight line; detour via a tip
     scene = ObstacleScene(segments=(seg(1, -1, 1, 1),))
-    res = shortest_path(scene, P(0, 0), P(2, 0))
+    res = PreparedScene(scene).shortest_path(P(0, 0), P(2, 0))
     expect = 2 * math.hypot(1, 1)
     assert res.length == pytest.approx(expect, abs=1e-12)
 
