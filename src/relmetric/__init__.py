@@ -34,7 +34,6 @@ from .geom import (
     inward_offset,
 )
 from .visibility import (
-    ConfinedPathResult,
     ObstacleScene,
     PathResult,
     PreparedScene,

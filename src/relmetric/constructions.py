@@ -53,8 +53,8 @@ from .geom import (
 )
 from .metric import MetricConfig, rho
 from .visibility import (
-    ConfinedPathResult,
     ObstacleScene,
+    PathResult,
     PreparedScene,
     shortest_path_confined,
 )
@@ -255,7 +255,7 @@ def confined_route(
     levels: Iterable[int],
     r_min: float,
     m_circle: int = 256,
-) -> ConfinedPathResult:
+) -> PathResult:
     """Confined leg-to-leg route among the clipped rays of the given levels.
 
     Partial level sets leave finite detours (useful as oracle paths); the

@@ -355,14 +355,14 @@ def domain_arrays(
     return (*feature_arrays(_domain_features(domain)), *rings)
 
 
-def contains(domain: PlanarDomain, p: Point2, eps: float = EPS_GEOM) -> Region:
+def contains(domain: PlanarDomain, p: Point2) -> Region:
     """Classify p against the closed domain: Interior / Boundary / Exterior.
 
-    Points within eps of any boundary feature (outer edge, hole edge or slit)
-    classify as Boundary.
+    Points within EPS_GEOM of any boundary feature (outer edge, hole edge or
+    slit) classify as Boundary.
     """
     FA, FB, _, outer, holes = domain_arrays(domain)
-    on_b, inside = _batch.closure_parts(np.array([p.as_tuple()]), outer, holes, FA, FB, eps)
+    on_b, inside = _batch.closure_parts(np.array([p.as_tuple()]), outer, holes, FA, FB, EPS_GEOM)
     if on_b[0]:
         return Region.BOUNDARY
     return Region.INTERIOR if inside[0] else Region.EXTERIOR
@@ -448,7 +448,6 @@ def inward_offsets(
     p: Point2,
     deltas: Sequence[float],
     hint: Hint | None = None,
-    eps: float = EPS_GEOM,
 ) -> list[tuple[Point2, ...]]:
     """Interior representatives of boundary point p at each distance in
     deltas, one tuple per interior face that p borders.
@@ -465,20 +464,20 @@ def inward_offsets(
         raise OffsetFailed("offset distance must be positive")
     FA, FB, angles = domain_arrays(domain)[:3]
     P = np.array([p.as_tuple()])
-    (rays, host), = blocked_rays(P, FA, FB, angles, eps)
+    (rays, host), = blocked_rays(P, FA, FB, angles)
     n_walls = len(FA) - len(domain.slits)
     if hint is None and host is not None and host >= n_walls:
         raise MissingHint(f"point ({p.x}, {p.y}) lies on a slit; side hint required")
     wedges = wedges_from_rays(rays)
     if hint is not None:
-        on_slit = np.nonzero(_batch.point_seg_dists(P, FA[n_walls:], FB[n_walls:])[0] <= eps)[0]
+        on_slit = np.nonzero(_batch.point_seg_dists(P, FA[n_walls:], FB[n_walls:])[0] <= EPS_GEOM)[0]
         if on_slit.size:
             preferred = _hint_angle(domain.slits[on_slit[0]], hint)
             wedges = [w for w in wedges if _in_wedge(preferred, w)] or [(preferred, 0.0)]
 
     def along(theta: float, delta: float) -> Point2 | None:
         q = Point2(p.x + delta * math.cos(theta), p.y + delta * math.sin(theta))
-        if contains(domain, q, eps) is not Region.INTERIOR:
+        if contains(domain, q) is not Region.INTERIOR:
             return None
         if _batch.cross_matrix(P[0], np.array([q.as_tuple()]), FA, FB, EPS_GEOM).any():
             return None
@@ -503,7 +502,6 @@ def inward_offset(
     p: Point2,
     delta: float,
     hint: Hint | None = None,
-    eps: float = EPS_GEOM,
 ) -> Point2:
     """Interior point at distance delta from boundary point p, in the first
     free wedge whose bisector leads into the interior.
@@ -511,7 +509,7 @@ def inward_offset(
     For points on a slit interior the side is ambiguous and ``hint`` must be
     "left" or "right" (relative to the slit's stored a->b direction).
     """
-    return inward_offsets(domain, p, (delta,), hint, eps)[0][0]
+    return inward_offsets(domain, p, (delta,), hint)[0][0]
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from .errors import (
     SizeMismatch,
     SpecInvalid,
 )
-from .geom import PlanarDomain, Point2
+from .geom import PlanarDomain, Point2, point_array
 from .metric import (
     ConvexityReport,
     _engine,
@@ -77,44 +77,33 @@ class TransferReport:
     note: str
 
 
-def _perimeter_table(domain: PlanarDomain) -> tuple[list[Point2], list[float], float]:
-    verts = list(domain.outer)
-    cum = [0.0]
-    for i, v in enumerate(verts):
-        w = verts[(i + 1) % len(verts)]
-        cum.append(cum[-1] + v.distance_to(w))
-    return verts, cum, cum[-1]
+def _perimeter(domain: PlanarDomain) -> tuple[np.ndarray, np.ndarray]:
+    """The outer ring closed by its first vertex, and the Euclidean arc
+    length from the first vertex to each ring point."""
+    ring = domain.outer + domain.outer[:1]
+    cum = np.cumsum([0.0] + [v.distance_to(w) for v, w in zip(ring, ring[1:])])
+    return point_array(ring), cum
 
 
-def _point_on_boundary(
-    verts: list[Point2], cum: list[float], total: float, s: float
-) -> Point2:
-    s = s % total
-    # find the edge containing arc position s
-    lo, hi = 0, len(verts)
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if cum[mid] <= s:
-            lo = mid
-        else:
-            hi = mid
-    a = verts[lo]
-    b = verts[(lo + 1) % len(verts)]
-    span = cum[lo + 1] - cum[lo]
-    t = 0.0 if span <= 0 else (s - cum[lo]) / span
-    return Point2(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
+def _points_at(ring: np.ndarray, cum: np.ndarray, pos: np.ndarray) -> list[Point2]:
+    """Outer-boundary points at arc positions pos, taken modulo the
+    perimeter, each on the edge that holds it."""
+    s = np.remainder(pos, cum[-1])
+    k = np.searchsorted(cum, s, side="right") - 1
+    t = (s - cum[k]) / (cum[k + 1] - cum[k])
+    xy = ring[k] + t[:, None] * (ring[k + 1] - ring[k])
+    return [Point2(x, y) for x, y in xy.tolist()]
 
 
 def boundary_arc_points(domain: PlanarDomain, m: int) -> list[Point2]:
     """m outer-boundary points equally spaced in Euclidean arc length,
-    anchored at the first vertex.  Cheap cousin of boundary_profile sampling
-    for checks that only need a spread of boundary points."""
+    anchored at the first vertex.  These are the starting samples of
+    boundary_profile, without its rounds that equalize boundary distances;
+    checks that only need a spread of boundary points use them."""
     if m < 1:
         raise SpecInvalid(f"need at least 1 sample, got {m}")
-    verts, cum, total = _perimeter_table(domain)
-    return [
-        _point_on_boundary(verts, cum, total, total * i / m) for i in range(m)
-    ]
+    ring, cum = _perimeter(domain)
+    return _points_at(ring, cum, cum[-1] * np.arange(m) / m)
 
 
 def boundary_profile(domain: PlanarDomain, m: int) -> BoundaryProfile:
@@ -122,8 +111,10 @@ def boundary_profile(domain: PlanarDomain, m: int) -> BoundaryProfile:
     distances agree within 1%, anchored at the first polygon vertex, and
     record the full pairwise distance matrix.
 
-    Profiling is defined for a single closed boundary curve; holes or slits
-    mean several boundary components and are refused.
+    Each round searches one table over its samples and reads the
+    consecutive gaps from it; the table of the round that agrees is the
+    profile.  Profiling is defined for a single closed boundary curve; holes
+    or slits mean several boundary components and are refused.
     """
     if domain.holes or domain.slits:
         raise MultipleBoundaryComponents(
@@ -131,48 +122,32 @@ def boundary_profile(domain: PlanarDomain, m: int) -> BoundaryProfile:
         )
     if m < 3:
         raise SpecInvalid(f"need at least 3 samples, got {m}")
-    verts, cum, total = _perimeter_table(domain)
+    ring, cum = _perimeter(domain)
     engine = _engine(domain)
-    pos = [total * i / m for i in range(m)]
-
-    def consecutive_gaps(samples: list[Point2]) -> list[float]:
-        return [
-            engine.shortest_path(samples[i], samples[(i + 1) % m]).length
-            for i in range(m)
-        ]
-
-    samples = [_point_on_boundary(verts, cum, total, s) for s in pos]
+    pos = cum[-1] * np.arange(m) / m
     for _ in range(_MAX_ROUNDS):
-        gaps = consecutive_gaps(samples)
+        samples = _points_at(ring, cum, pos)
+        paths = engine.shortest_paths(samples)
+        gaps = [paths[i][i + 1].length for i in range(m - 1)] + [paths[0][m - 1].length]
         mean = sum(gaps) / m
         spread = max(abs(g - mean) for g in gaps) / mean
         if spread <= _GAP_SPREAD:
             break
         # redistribute: move each sample to where the cumulative gap count
-        # would be exactly i * mean, interpolating in arc length
-        cum_gap = [0.0]
-        for g in gaps:
-            cum_gap.append(cum_gap[-1] + g)
-        targets = [cum_gap[-1] * i / m for i in range(m)]
-        anchors = pos + [total]
-        new_pos = [0.0]
-        for i in range(1, m):
-            t = targets[i]
-            k = max(
-                0, min(m - 1, next(j for j in range(m) if cum_gap[j + 1] >= t) )
-            )
-            span = cum_gap[k + 1] - cum_gap[k]
-            frac = 0.0 if span <= 0 else (t - cum_gap[k]) / span
-            new_pos.append(anchors[k] + frac * (anchors[k + 1] - anchors[k]))
-        pos = new_pos
-        samples = [_point_on_boundary(verts, cum, total, s) for s in pos]
+        # would be exactly i * mean, interpolating in arc length within the
+        # first gap k whose end reaches it
+        cum_gap = np.cumsum([0.0] + gaps)
+        targets = cum_gap[-1] * np.arange(1, m) / m
+        k = np.searchsorted(cum_gap[1:], targets)
+        frac = (targets - cum_gap[k]) / (cum_gap[k + 1] - cum_gap[k])
+        anchors = np.append(pos, cum[-1])
+        pos = np.append(0.0, anchors[k] + frac * (anchors[k + 1] - anchors[k]))
     else:
         raise ProfileUnconverged(
             f"consecutive gaps still spread {spread:.3%} after "
             f"{_MAX_ROUNDS} rounds"
         )
 
-    paths = engine.shortest_paths(samples)
     M = np.zeros((m, m))
     for i in range(m):
         for j in range(i + 1, m):

@@ -99,16 +99,6 @@ class PathResult:
     path: Polyline | None
 
 
-@dataclass(frozen=True)
-class ConfinedPathResult:
-    reached: bool
-    length: float
-    path: Polyline | None
-    floor: tuple[Point2, ...]
-    start_snap: float
-    end_snap: float
-
-
 # ---------------------------------------------------------------------------
 # shared helpers
 # ---------------------------------------------------------------------------
@@ -577,7 +567,7 @@ def shortest_path_confined(
     m_circle: int = 256,
     hint_a: str | None = None,
     hint_b: str | None = None,
-) -> ConfinedPathResult:
+) -> PathResult:
     """Shortest path that additionally keeps distance >= r_min from the origin.
 
     The exclusion disk is realized as a circumscribed regular polygon with
@@ -586,30 +576,18 @@ def shortest_path_confined(
     disk, so they can only overestimate the true confined length; the excess
     shrinks like m^-2.
     Terminals strictly inside the disk raise; terminals inside the sliver
-    between disk and polygon are snapped radially outward onto the polygon
-    and the snap distances are reported.
+    between disk and polygon are snapped radially outward onto the polygon.
     """
     if r_min <= 0.0:
-        res = PreparedScene(scene).shortest_path(a, b, hint_a=hint_a, hint_b=hint_b)
-        return ConfinedPathResult(res.reached, res.length, res.path, (), 0.0, 0.0)
-    floor = circumscribed_polygon(r_min, m_circle)
+        return PreparedScene(scene).shortest_path(a, b, hint_a=hint_a, hint_b=hint_b)
     used = []
-    snaps = []
     for label, t in (("a", a), ("b", b)):
         r = t.norm()
         if r < r_min * (1.0 - 1e-12):
             raise TerminalInsideFloor(
                 f"terminal {label} at radius {r} violates the floor radius {r_min}"
             )
-        theta = math.atan2(t.y, t.x)
-        rim = _floor_radius_at(theta, r_min, m_circle)
-        if r < rim:
-            scale = rim / r if r > 0 else 0.0
-            used.append(Point2(t.x * scale, t.y * scale))
-            snaps.append(rim - r)
-        else:
-            used.append(t)
-            snaps.append(0.0)
-    engine = PreparedScene(scene, floor=floor)
-    res = engine.shortest_path(used[0], used[1], hint_a=hint_a, hint_b=hint_b)
-    return ConfinedPathResult(res.reached, res.length, res.path, floor, snaps[0], snaps[1])
+        rim = _floor_radius_at(math.atan2(t.y, t.x), r_min, m_circle)
+        used.append(t.scaled(rim / r) if r < rim else t)
+    engine = PreparedScene(scene, floor=circumscribed_polygon(r_min, m_circle))
+    return engine.shortest_path(used[0], used[1], hint_a=hint_a, hint_b=hint_b)

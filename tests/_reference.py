@@ -1,5 +1,6 @@
 """Scalar references for the array code of the package: the kernels of
-:mod:`relmetric._batch` and the strips' corner detour ratio.
+:mod:`relmetric._batch`, the strips' corner detour ratio and the boundary
+profile's sampling and gap rounds.
 
 The package evaluates every predicate with array kernels; these one-at-a-time
 versions are kept for the tests to compare against.  The orientation
@@ -22,6 +23,9 @@ from relmetric.geom import (
     wedges_from_rays,
 )
 from relmetric.constructions import Trapezium
+from relmetric.errors import ProfileUnconverged
+from relmetric.metric import _engine
+from relmetric.rigidity import BoundaryProfile
 
 
 def orientation(p: Point2, q: Point2, r: Point2, eps: float = EPS_GEOM) -> int:
@@ -119,3 +123,85 @@ def max_corner_detour_ratio(trap: Trapezium, samples: int = 1024) -> float:
                 continue
             worst = max(worst, (a.distance_to(v) + v.distance_to(b)) / base)
     return worst
+
+
+def _perimeter_table(domain: PlanarDomain) -> tuple[list[Point2], list[float], float]:
+    verts = list(domain.outer)
+    cum = [0.0]
+    for i, v in enumerate(verts):
+        w = verts[(i + 1) % len(verts)]
+        cum.append(cum[-1] + v.distance_to(w))
+    return verts, cum, cum[-1]
+
+
+def _point_on_boundary(
+    verts: list[Point2], cum: list[float], total: float, s: float
+) -> Point2:
+    s = s % total
+    # find the edge containing arc position s
+    lo, hi = 0, len(verts)
+    while lo + 1 < hi:
+        mid = (lo + hi) // 2
+        if cum[mid] <= s:
+            lo = mid
+        else:
+            hi = mid
+    a = verts[lo]
+    b = verts[(lo + 1) % len(verts)]
+    span = cum[lo + 1] - cum[lo]
+    t = 0.0 if span <= 0 else (s - cum[lo]) / span
+    return Point2(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
+
+
+def boundary_arc_points(domain: PlanarDomain, m: int) -> list[Point2]:
+    """m outer-boundary points equally spaced in Euclidean arc length,
+    anchored at the first vertex, each found by bisection on the edges."""
+    verts, cum, total = _perimeter_table(domain)
+    return [_point_on_boundary(verts, cum, total, total * i / m) for i in range(m)]
+
+
+def boundary_profile(domain: PlanarDomain, m: int) -> BoundaryProfile:
+    """The profile with one two-point search per consecutive gap in each
+    round, a scalar redistribution step and a separate final table."""
+    verts, cum, total = _perimeter_table(domain)
+    engine = _engine(domain)
+    pos = [total * i / m for i in range(m)]
+
+    def consecutive_gaps(samples: list[Point2]) -> list[float]:
+        return [
+            engine.shortest_path(samples[i], samples[(i + 1) % m]).length
+            for i in range(m)
+        ]
+
+    samples = [_point_on_boundary(verts, cum, total, s) for s in pos]
+    for _ in range(60):
+        gaps = consecutive_gaps(samples)
+        mean = sum(gaps) / m
+        spread = max(abs(g - mean) for g in gaps) / mean
+        if spread <= 0.01:
+            break
+        cum_gap = [0.0]
+        for g in gaps:
+            cum_gap.append(cum_gap[-1] + g)
+        targets = [cum_gap[-1] * i / m for i in range(m)]
+        anchors = pos + [total]
+        new_pos = [0.0]
+        for i in range(1, m):
+            t = targets[i]
+            k = max(0, min(m - 1, next(j for j in range(m) if cum_gap[j + 1] >= t)))
+            span = cum_gap[k + 1] - cum_gap[k]
+            frac = 0.0 if span <= 0 else (t - cum_gap[k]) / span
+            new_pos.append(anchors[k] + frac * (anchors[k + 1] - anchors[k]))
+        pos = new_pos
+        samples = [_point_on_boundary(verts, cum, total, s) for s in pos]
+    else:
+        raise ProfileUnconverged(
+            f"consecutive gaps still spread {spread:.3%} after 60 rounds"
+        )
+
+    paths = engine.shortest_paths(samples)
+    M = np.zeros((m, m))
+    for i in range(m):
+        for j in range(i + 1, m):
+            M[i, j] = M[j, i] = paths[i][j].length
+    return BoundaryProfile(tuple(samples), M)

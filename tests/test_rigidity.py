@@ -1,13 +1,17 @@
 """Boundary distance profiles: alignment, congruence, and the convexity
 transfer protocol."""
 import math
+import random
 
 import numpy as np
 import pytest
 
+import _reference as reference
+from relmetric.constructions import CombSpec, comb_domain
 from relmetric.errors import (
     MultipleBoundaryComponents,
     NotAligned,
+    ProfileUnconverged,
     SizeMismatch,
     SpecInvalid,
 )
@@ -19,6 +23,7 @@ from relmetric.rigidity import (
     euclidean_congruence,
     transfer_from_profiles,
 )
+from relmetric.visibility import PreparedScene
 
 P = Point2
 
@@ -44,6 +49,35 @@ def regular_ngon(n, r=1.0, phase=0.0):
     ]
 
 
+SQUARE = [P(0, 0), P(1, 0), P(1, 1), P(0, 1)]
+L_SHAPE = [P(0, 0), P(2, 0), P(2, 1), P(1, 1), P(1, 2), P(0, 2)]
+
+
+def star(points, r_in=0.45):
+    """Star with `points` tips on the unit circle and notches at radius r_in."""
+    n = 2 * points
+    return [
+        P((1.0 if k % 2 == 0 else r_in) * math.cos(2 * math.pi * k / n),
+          (1.0 if k % 2 == 0 else r_in) * math.sin(2 * math.pi * k / n))
+        for k in range(n)
+    ]
+
+
+def seeded_convex_polygon(n=40, seed=1):
+    """Strictly convex CCW n-gon: jittered angles on a rotated ellipse."""
+    rng = random.Random(seed)
+    base = rng.uniform(0.0, 2.0 * math.pi)
+    th = [base + 2.0 * math.pi * (i + rng.uniform(-0.35, 0.35)) / n for i in range(n)]
+    a = rng.uniform(1.0, 2.0)
+    b = a * rng.uniform(0.6, 1.0)
+    phi = rng.uniform(0.0, math.pi)
+    c, s = math.cos(phi), math.sin(phi)
+    return [
+        P(c * a * math.cos(t) - s * b * math.sin(t), s * a * math.cos(t) + c * b * math.sin(t))
+        for t in th
+    ]
+
+
 # -- sampling helpers -----------------------------------------------------------
 
 
@@ -59,8 +93,7 @@ def test_arc_points_on_boundary():
 
 
 def test_square_vertex_profile():
-    dom = PlanarDomain([P(0, 0), P(1, 0), P(1, 1), P(0, 1)])
-    prof = boundary_profile(dom, 4)
+    prof = boundary_profile(PlanarDomain(SQUARE), 4)
     assert prof.size == 4
     assert prof.samples[0] == P(0, 0)
     d = math.sqrt(2)
@@ -95,6 +128,54 @@ def test_profile_rejects_extra_components():
     slit = Segment2(P(1, 1), P(2, 2))
     with pytest.raises(MultipleBoundaryComponents):
         boundary_profile(PlanarDomain(square, slits=(slit,)), 6)
+
+
+PROFILE_CASES = [
+    ("40-gon", seeded_convex_polygon(), 32),
+    ("penta", PENTA, 8),
+    ("penta", PENTA, 12),
+    ("penta", PENTA, 32),
+    ("star", star(5), 12),
+    ("star", star(5), 32),
+    ("L", L_SHAPE, 12),
+    ("square", SQUARE, 4),
+    ("square", SQUARE, 8),
+]
+
+
+@pytest.mark.parametrize(
+    "verts, m", [c[1:] for c in PROFILE_CASES], ids=[f"{c[0]}-{c[2]}" for c in PROFILE_CASES]
+)
+def test_profile_equals_per_pair_reference(verts, m):
+    """One table per round gives the samples and matrix of the per-pair
+    gap rounds and bisection sampling, bit for bit."""
+    dom = PlanarDomain(verts)
+    got, want = boundary_profile(dom, m), reference.boundary_profile(dom, m)
+    assert got.samples == want.samples
+    assert np.array_equal(got.matrix, want.matrix)
+    assert boundary_arc_points(dom, m) == reference.boundary_arc_points(dom, m)
+
+
+def test_unconverged_message_equals_reference():
+    comb = comb_domain(CombSpec(depth=4))
+    with pytest.raises(ProfileUnconverged) as got:
+        boundary_profile(comb, 16)
+    with pytest.raises(ProfileUnconverged) as want:
+        reference.boundary_profile(comb, 16)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("verts, m, rounds", [(SQUARE, 8, 1), (PENTA, 12, 5)])
+def test_profile_searches_one_table_per_round(monkeypatch, verts, m, rounds):
+    calls = {"shortest_path": 0, "shortest_paths": 0}
+    for name in calls:
+        def counted(self, *args, _name=name, _method=getattr(PreparedScene, name), **kwargs):
+            calls[_name] += 1
+            return _method(self, *args, **kwargs)
+
+        monkeypatch.setattr(PreparedScene, name, counted)
+    boundary_profile(PlanarDomain(verts), m)
+    assert calls == {"shortest_path": 0, "shortest_paths": rounds}
 
 
 # -- alignment and congruence --------------------------------------------------------

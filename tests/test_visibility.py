@@ -14,6 +14,7 @@ from relmetric.geom import PlanarDomain, Point2, Segment2
 from relmetric.visibility import (
     ObstacleScene,
     PreparedScene,
+    _floor_radius_at,
     shortest_path_confined,
 )
 
@@ -156,6 +157,20 @@ def test_confined_wraps_the_rim():
     # straight line passes the origin; path must wrap the circumscribed rim
     assert res.length >= math.pi - 1e-3
     assert res.length == pytest.approx(math.pi, rel=1e-3)
+
+
+def test_confined_terminal_in_sliver_starts_on_the_rim():
+    """A terminal between the disk and the floor polygon moves radially
+    outward onto the polygon, and its path starts there."""
+    m, theta = 16, 0.15
+    rim = _floor_radius_at(theta, 1.0, m)
+    r = 0.5 * (1.0 + rim)
+    a = P(r * math.cos(theta), r * math.sin(theta))
+    res = shortest_path_confined(ObstacleScene(segments=()), a, P(3.0, 0.5), r_min=1.0, m_circle=m)
+    start = res.path.vertices[0]
+    assert rim - r > 1e-3
+    assert math.atan2(start.y, start.x) == pytest.approx(theta, abs=1e-12)
+    assert start.norm() == pytest.approx(rim, abs=1e-12)
 
 
 def test_confined_terminal_inside_floor_raises():
