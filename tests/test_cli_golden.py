@@ -17,7 +17,7 @@ import tempfile
 from pathlib import Path
 
 from relmetric.cli import main
-from relmetric.geom import PlanarDomain, Point2
+from relmetric.geom import PlanarDomain, Point2, polygon_edges
 from relmetric.sceneio import Scene, save_scene
 from test_cli import slit_scene, square_scene
 
@@ -52,6 +52,16 @@ COMMANDS = [
     "compare <tmp>/sq.json <tmp>/rot.json --samples 8",
     "compare <tmp>/sq.json <tmp>/rot.json --samples 8 --eta 0.05",
     "compare <tmp>/sq.json <tmp>/rect.json --samples 8 --eta 0.05",
+    "gen comb --depth 2 --svg <tmp>/comb2.svg",
+    "gen spiral --coils 1 --samples-per-coil 8 --out <tmp>/spiral.json",
+    "gen strips --levels 1 --coils 1 --samples-per-coil 8 --out <tmp>/strips.json",
+    "matrix <tmp>/slit.json --csv <tmp>/m.csv",
+    "dist <tmp>/box.json in out",
+    "matrix <tmp>/box.json",
+    "repro bound --levels 2",
+    "repro labyrinth --threshold 1 --m-max 2",
+    "repro labyrinth --threshold 100 --m-max 1 --samples-per-coil 16",
+    "compare <tmp>/sq.json <tmp>/rot.json --samples 8 --csv <tmp>/p.csv --svg <tmp>/p.svg",
 ]
 
 
@@ -64,6 +74,10 @@ def _write_scenes(tmp: Path) -> None:
     save_scene(Scene(domain=rot), tmp / "rot.json")
     rect = PlanarDomain([P(0, 0), P(2, 0), P(2, 1), P(0, 1)])
     save_scene(Scene(domain=rect), tmp / "rect.json")
+    # a closed box of four obstacle segments: "out" cannot reach "in"
+    box = tuple(polygon_edges([P(0, 0), P(1, 0), P(1, 1), P(0, 1)]))
+    save_scene(Scene(points={"in": P(0.5, 0.5), "out": P(2, 0.5)}, segments=box),
+               tmp / "box.json")
 
 
 def _run_all(tmp: Path) -> dict:
