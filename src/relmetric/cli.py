@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import random
 import sys
@@ -71,7 +72,6 @@ from .sceneio import (
     load_scene,
     matrix_csv,
     render_svg,
-    save_scene,
     scene_to_json,
 )
 from .visibility import PreparedScene
@@ -90,15 +90,32 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_SPEC, f"{self.prog}: error: {message}\n")
 
 
-def _emit(text: str, path: str | None) -> None:
+def _say(*tokens) -> None:
+    """Print one output line: the tokens joined by spaces, floats at 12
+    significant digits, booleans as true/false and points as (x, y)."""
+    words = []
+    for t in tokens:
+        if isinstance(t, (bool, np.bool_)):
+            t = "true" if t else "false"
+        elif isinstance(t, (float, np.floating)):
+            t = fmt12(t)
+        elif isinstance(t, Point2):
+            t = f"({fmt12(t.x)}, {fmt12(t.y)})"
+        words.append(str(t))
+    print(" ".join(words))
+
+
+def _write(text: str, path: str | None) -> None:
+    """Write text to the file at path and say so, or to stdout without one."""
     if path:
         Path(path).write_text(text)
+        _say("wrote", path)
     else:
         sys.stdout.write(text)
 
 
 def _verdict(ok: bool) -> int:
-    print(f"verdict {'PASS' if ok else 'FAIL'}")
+    _say("verdict", "PASS" if ok else "FAIL")
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
@@ -110,19 +127,18 @@ def _strips(args) -> StripsReport:
     )
 
 
-def _cfg_from(scene: Scene | None, args) -> MetricConfig:
-    cfg = scene.config if scene else MetricConfig()
+def _cfg_from(scene: Scene, args) -> MetricConfig:
     updates = {}
-    if getattr(args, "offsets", None):
+    if args.offsets:
         try:
             updates["offsets"] = tuple(float(d) for d in args.offsets.split(",") if d)
         except ValueError:
             raise SpecInvalid(
                 f"--offsets must be comma-separated numbers, got {args.offsets!r}"
             ) from None
-    if getattr(args, "extrapolation", None):
+    if args.extrapolation:
         updates["extrapolation"] = args.extrapolation
-    return dataclasses.replace(cfg, **updates) if updates else cfg
+    return dataclasses.replace(scene.config, **updates) if updates else scene.config
 
 
 def _name_list(text: str) -> list[str]:
@@ -165,75 +181,68 @@ def _oracle_lengths(scene: Scene, pts: list[Point2], hints: list[str | None]) ->
 # ---------------------------------------------------------------------------
 
 
-def _gen_scene(args) -> Scene:
-    if args.kind == "comb":
-        spec = CombSpec(args.depth, args.cap_width)
-        c = spec.cap
-        return Scene(
-            domain=comb_domain(spec),
-            points={"probe": Point2(1.0, 1.5), "target": Point2(c, c)},
-            generator={
-                "kind": "comb",
-                "depth": spec.depth,
-                "cap_width": spec.cap,
-            },
-        )
-    if args.kind == "family":
-        if args.levels < 1:
-            raise SpecInvalid("family needs at least one level")
-        obs = clipped_family_scene(range(1, args.levels + 1))
-        return Scene(
-            domain=obs.boundary,
-            points={"A": LEG_A, "D": LEG_D},
-            segments=obs.segments,
-            generator={
-                "kind": "family",
-                "levels": args.levels,
-                "r_min": 4.0 * 2.0**-args.levels,
-            },
-        )
-    if args.kind == "spiral":
-        spec = SpiralSpec(args.radius, args.coils, args.pitch, args.samples_per_coil)
-        lab = spiral_labyrinth(spec)
-        return Scene(
-            points={"entrance": lab.entrance, "exit": lab.exit},
-            segments=lab.scene.segments,
-            generator={
-                "kind": "spiral",
-                "start_radius": spec.start_radius,
-                "coils": spec.coils,
-                "pitch": spec.pitch,
-                "samples_per_coil": spec.samples_per_coil,
-            },
-        )
-    if args.kind == "strips":
-        report = _strips(args)
-        segs = tuple(s for t in report.trapezia for s in t.sides())
-        return Scene(
-            segments=segs,
-            generator={
-                "kind": "strips",
-                "levels": args.levels,
-                "coils": args.coils,
-                "samples_per_coil": args.samples_per_coil,
-                "strip_count": len(report.strips),
-                "note": "segments are the meridian-plane strip footprints",
-            },
-        )
-    raise SceneInvalid(f"unknown generator kind {args.kind!r}")
+def _gen_comb(args) -> Scene:
+    spec = CombSpec(args.depth, args.cap_width)
+    return Scene(
+        domain=comb_domain(spec),
+        points={"probe": Point2(1.0, 1.5), "target": Point2(spec.cap, spec.cap)},
+        generator={"kind": "comb", "depth": spec.depth, "cap_width": spec.cap},
+    )
+
+
+def _gen_family(args) -> Scene:
+    if args.levels < 1:
+        raise SpecInvalid("family needs at least one level")
+    obs = clipped_family_scene(range(1, args.levels + 1))
+    return Scene(
+        domain=obs.boundary,
+        points={"A": LEG_A, "D": LEG_D},
+        segments=obs.segments,
+        generator={
+            "kind": "family",
+            "levels": args.levels,
+            "r_min": 4.0 * 2.0**-args.levels,
+        },
+    )
+
+
+def _gen_spiral(args) -> Scene:
+    spec = SpiralSpec(args.radius, args.coils, args.pitch, args.samples_per_coil)
+    lab = spiral_labyrinth(spec)
+    return Scene(
+        points={"entrance": lab.entrance, "exit": lab.exit},
+        segments=lab.scene.segments,
+        generator={
+            "kind": "spiral",
+            "start_radius": spec.start_radius,
+            "coils": spec.coils,
+            "pitch": spec.pitch,
+            "samples_per_coil": spec.samples_per_coil,
+        },
+    )
+
+
+def _gen_strips(args) -> Scene:
+    report = _strips(args)
+    segs = tuple(s for t in report.trapezia for s in t.sides())
+    return Scene(
+        segments=segs,
+        generator={
+            "kind": "strips",
+            "levels": args.levels,
+            "coils": args.coils,
+            "samples_per_coil": args.samples_per_coil,
+            "strip_count": len(report.strips),
+            "note": "segments are the meridian-plane strip footprints",
+        },
+    )
 
 
 def cmd_gen(args) -> int:
-    scene = _gen_scene(args)
-    text = scene_to_json(scene)
-    if args.out:
-        save_scene(scene, args.out)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
+    scene = args.build(args)
+    _write(scene_to_json(scene), args.out)
     if args.svg:
-        Path(args.svg).write_text(render_svg(scene))
-        print(f"wrote {args.svg}")
+        _write(render_svg(scene), args.svg)
     return EXIT_OK
 
 
@@ -247,19 +256,18 @@ def cmd_dist(args) -> int:
     (p, q), (hint_p, hint_q) = _named_points(scene, [args.p, args.q])
     if scene.segments:
         length = _oracle_lengths(scene, [p, q], [hint_p, hint_q])[0, 1]
+        _say("value", length)
         if math.isinf(length):
-            print("value inf")
             return EXIT_UNREACHABLE
-        print(f"value {fmt12(length)}")
-        print("evaluation oracle-exact")
+        _say("evaluation oracle-exact")
         return EXIT_OK
     domain = _domain_of(scene, "dist")
     est = rho(domain, p, q, _cfg_from(scene, args), hint_x=hint_p, hint_y=hint_q)
-    print(f"value {fmt12(est.value)}")
-    print(f"converged {'true' if est.converged else 'false'}")
-    print("offset length")
+    _say("value", est.value)
+    _say("converged", est.converged)
+    _say("offset length")
     for delta, length in est.per_offset:
-        print(f"{fmt12(delta)} {fmt12(length)}")
+        _say(delta, length)
     return EXIT_UNREACHABLE if math.isinf(est.value) else EXIT_OK
 
 
@@ -274,9 +282,7 @@ def cmd_matrix(args) -> int:
     else:
         domain = _domain_of(scene, "matrix")
         values = matrix_values(distance_matrix(domain, pts, _cfg_from(scene, args), hints))
-    _emit(matrix_csv(names, values), args.csv)
-    if args.csv:
-        print(f"wrote {args.csv}")
+    _write(matrix_csv(names, values), args.csv)
     return EXIT_UNREACHABLE if bool(np.isinf(values).any()) else EXIT_OK
 
 
@@ -311,81 +317,81 @@ def _random_interior_points(
     return out
 
 
+def _check_metric(args, scene: Scene, domain: PlanarDomain) -> int:
+    cfg = _cfg_from(scene, args)
+    tol = args.tol if args.tol is not None else cfg.tol_metric
+    selected = args.points or sorted(scene.points)
+    if len(selected) >= 3:
+        pts, hints = _named_points(scene, selected)
+    else:
+        pts = _random_interior_points(domain, args.samples, args.seed, max(cfg.offsets))
+        hints = None
+    matrix = distance_matrix(domain, pts, cfg, hints)
+    rep = check_metric_axioms(matrix, tol)
+    _say("points", len(pts))
+    _say("symmetry_violations", len(rep.symmetry_violations))
+    _say("triangle_violations", len(rep.triangle_violations))
+    _say("identity_violations", len(rep.identity_violations))
+    return _verdict(rep.ok)
+
+
+def _check_geodesic(args, scene: Scene, domain: PlanarDomain) -> int:
+    cfg = _cfg_from(scene, args)
+    if bool(args.p) != bool(args.q):
+        raise SceneInvalid("--p and --q go together")
+    pair = [args.p, args.q] if args.p else sorted(scene.points)[:2]
+    if len(pair) < 2:
+        raise SceneInvalid("geodesic check needs two named points")
+    (p, q), (hint_p, hint_q) = _named_points(scene, pair)
+    tol = args.tol if args.tol is not None else 1e-6
+    gc = extract_geodesic(
+        domain, p, q, cfg, hint_x=hint_p, hint_y=hint_q, grid=args.grid
+    )
+    _say("length", gc.length)
+    _say("max_deviation", gc.max_deviation)
+    _say("one_sided_max", gc.one_sided_max)
+    ok = gc.max_deviation <= tol and gc.one_sided_max <= args.one_sided_tol
+    return _verdict(ok)
+
+
+def _check_witnesses(check, args, scene: Scene, domain: PlanarDomain) -> int:
+    """convexity and circ: `check` gives a ConvexityReport on boundary samples."""
+    samples = boundary_arc_points(domain, args.samples)
+    rep = check(domain, samples, args.eta)
+    _say("samples", len(samples), "eta", args.eta)
+    _say("witnesses", len(rep.witnesses))
+    for i, j, where, clear in rep.witnesses[:5]:
+        _say("witness pair", f"({i},{j})", "touches near", where, "clearance", clear)
+    return _verdict(rep.strictly_convex)
+
+
+def _check_ambient(args, scene: Scene, domain: PlanarDomain) -> int:
+    selected = args.points or sorted(scene.points)
+    if len(selected) < 2:
+        raise SceneInvalid("ambient check needs at least two named points")
+    pts, hints = _named_points(scene, selected)
+    tol = args.tol if args.tol is not None else 1e-9
+    gap = check_rho_equals_ambient(domain, pts, hints)
+    _say("pairs", len(pts) * (len(pts) - 1) // 2)
+    _say("max_gap", gap)
+    return _verdict(gap <= tol)
+
+
+_CHECKS = {
+    "metric": _check_metric,
+    "geodesic": _check_geodesic,
+    "convexity": functools.partial(_check_witnesses, check_strict_convexity),
+    "circ": functools.partial(_check_witnesses, check_property_circ),
+    "ambient": _check_ambient,
+}
+
+
 def cmd_check(args) -> int:
     if args.what in ("convexity", "circ", "ambient") and (args.offsets or args.extrapolation):
         # these checks use the closure evaluation, which has no offsets
         raise SpecInvalid(f"check {args.what} takes no --offsets or --extrapolation")
     scene = load_scene(args.scene)
-    domain = _domain_of(scene, "check")
-    cfg = _cfg_from(scene, args)
-    selected = args.points or sorted(scene.points)
-
-    if args.what == "metric":
-        tol = args.tol if args.tol is not None else cfg.tol_metric
-        if len(selected) >= 3:
-            pts, hints = _named_points(scene, selected)
-        else:
-            pts = _random_interior_points(
-                domain, args.samples, args.seed, max(cfg.offsets)
-            )
-            hints = None
-        matrix = distance_matrix(domain, pts, cfg, hints)
-        rep = check_metric_axioms(matrix, tol)
-        print(f"points {len(pts)}")
-        print(f"symmetry_violations {len(rep.symmetry_violations)}")
-        print(f"triangle_violations {len(rep.triangle_violations)}")
-        print(f"identity_violations {len(rep.identity_violations)}")
-        return _verdict(rep.ok)
-
-    if args.what == "geodesic":
-        names = sorted(scene.points)
-        if args.p or args.q:
-            if not (args.p and args.q):
-                raise SceneInvalid("--p and --q go together")
-            pair = (args.p, args.q)
-        elif len(names) >= 2:
-            pair = (names[0], names[1])
-        else:
-            raise SceneInvalid("geodesic check needs two named points")
-        (p, q), (hint_p, hint_q) = _named_points(scene, list(pair))
-        tol = args.tol if args.tol is not None else 1e-6
-        gc = extract_geodesic(
-            domain, p, q, cfg, hint_x=hint_p, hint_y=hint_q, grid=args.grid
-        )
-        print(f"length {fmt12(gc.length)}")
-        print(f"max_deviation {fmt12(gc.max_deviation)}")
-        print(f"one_sided_max {fmt12(gc.one_sided_max)}")
-        ok = gc.max_deviation <= tol and gc.one_sided_max <= args.one_sided_tol
-        return _verdict(ok)
-
-    if args.what in ("convexity", "circ"):
-        samples = boundary_arc_points(domain, args.samples)
-        if args.what == "convexity":
-            rep = check_strict_convexity(domain, samples, args.eta)
-            ok, witnesses = rep.strictly_convex, rep.witnesses
-        else:
-            ok, witnesses = check_property_circ(domain, samples, args.eta)
-        print(f"samples {len(samples)} eta {fmt12(args.eta)}")
-        print(f"witnesses {len(witnesses)}")
-        for i, j, where, clear in witnesses[:5]:
-            print(
-                f"witness pair ({i},{j}) touches near "
-                f"({fmt12(where.x)}, {fmt12(where.y)}) clearance {fmt12(clear)}"
-            )
-        return _verdict(ok)
-
-    if args.what == "ambient":
-        if len(selected) < 2:
-            raise SceneInvalid("ambient check needs at least two named points")
-        pts, hints = _named_points(scene, selected)
-        tol = args.tol if args.tol is not None else 1e-9
-        gap = check_rho_equals_ambient(domain, pts, hints)
-        print(f"pairs {len(pts) * (len(pts) - 1) // 2}")
-        print(f"max_gap {fmt12(gap)}")
-        ok = gap <= tol
-        return _verdict(ok)
-
-    raise SceneInvalid(f"unknown check {args.what!r}")
+    return _CHECKS[args.what](args, scene, _domain_of(scene, "check"))
 
 
 # ---------------------------------------------------------------------------
@@ -393,88 +399,85 @@ def cmd_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_repro(args) -> int:
-    if args.target == "labyrinth":
-        try:
-            coils, trace = labyrinth_min_coils(
-                args.radius,
-                args.pitch,
-                m_max=args.m_max,
-                samples_per_coil=args.samples_per_coil,
-                threshold=args.threshold,
-            )
-        except NotReachedWithinBound as exc:
-            print(f"search failed: {exc}")
-            return _verdict(False)
-        print("coils length")
-        for m, length in trace:
-            print(f"{m} {fmt12(length)}")
-        print(f"min_coils {coils}")
-        print(f"threshold {fmt12(args.threshold)}")
-        return _verdict(True)
-
-    if args.target == "bound":
-        spec = SegmentFamilySpec(args.levels)
-        floor = 6.0 * (1.0 - args.tol_floor)
-        try:
-            _, length = verify_length_bound(spec, tol_floor=args.tol_floor)
-        except (SpecInvalid, TerminalInsideFloor):
-            raise
-        except GeometryError as exc:
-            print(f"bound violated: {exc}")
-            return _verdict(False)
-        _, control = verify_length_bound(spec, include_obstacles=False)
-        print(f"levels {args.levels}")
-        print(f"length {fmt12(length)}")
-        print(f"floor {fmt12(floor)}")
-        print(f"control {fmt12(control)}")
-        ok = length >= floor and control < 2.1
-        return _verdict(ok)
-
-    if args.target == "defect":
-        rep = triangle_defect_report(args.levels)
-        print(f"levels {rep.levels}")
-        print(f"confined_length {fmt12(rep.confined_length)}")
-        print(f"detour_ratio_bound {fmt12(rep.detour_ratio_bound)}")
-        print(f"projected_lower_bound {fmt12(rep.projected_lower_bound)}")
-        print(f"legs_total {fmt12(rep.legs_total)}")
-        print(f"escape_length {fmt12(rep.escape_length)}")
-        return _verdict(rep.defect_confirmed)
-
-    if args.target == "comb":
-        depths = [int(d) for d in args.depths.split(",") if d]
-        div = comb_divergence(depths)
-        print("depth distance")
-        for n, v in div.values:
-            print(f"{n} {fmt12(v)}")
-        return _verdict(div.strictly_increasing)
-
-    if args.target == "detour":
-        report = _strips(args)
-        worst = max(
-            max_corner_detour_ratio(t, args.samples) for t in report.trapezia
+def _repro_labyrinth(args) -> int:
+    try:
+        coils, trace = labyrinth_min_coils(
+            args.radius,
+            args.pitch,
+            m_max=args.m_max,
+            samples_per_coil=args.samples_per_coil,
+            threshold=args.threshold,
         )
-        const_ok = math.sqrt(3.0) / 4.0 > 2.0 / 5.0
-        print(f"trapezia {len(report.trapezia)}")
-        print(f"max_ratio {fmt12(worst)}")
-        print(f"ratio_bound {fmt12(2.5)}")
-        print(f"constant_check {'PASS' if const_ok else 'FAIL'}")
-        ok = worst <= 2.5 and const_ok
-        return _verdict(ok)
+    except NotReachedWithinBound as exc:
+        _say("search failed:", exc)
+        return _verdict(False)
+    _say("coils length")
+    for m, length in trace:
+        _say(m, length)
+    _say("min_coils", coils)
+    _say("threshold", args.threshold)
+    return _verdict(True)
 
-    if args.target == "strips":
-        report = _strips(args)
-        print(f"strips {len(report.strips)}")
-        print(f"min_distance {fmt12(report.min_distance)}")
-        if report.closest_pair:
-            (j1, k1), (j2, k2) = report.closest_pair
-            print(f"closest_pair ({j1},{k1})-({j2},{k2})")
-        print(f"ray_residual {fmt12(report.ray_residual)}")
-        print(f"fallback_pairs {report.fallback_pairs}")
-        ok = report.disjoint and report.ray_residual <= 1e-9
-        return _verdict(ok)
 
-    raise SceneInvalid(f"unknown repro target {args.target!r}")
+def _repro_bound(args) -> int:
+    spec = SegmentFamilySpec(args.levels)
+    floor = 6.0 * (1.0 - args.tol_floor)
+    try:
+        _, length = verify_length_bound(spec, tol_floor=args.tol_floor)
+    except (SpecInvalid, TerminalInsideFloor):
+        raise
+    except GeometryError as exc:
+        _say("bound violated:", exc)
+        return _verdict(False)
+    _, control = verify_length_bound(spec, include_obstacles=False)
+    _say("levels", args.levels)
+    _say("length", length)
+    _say("floor", floor)
+    _say("control", control)
+    return _verdict(length >= floor and control < 2.1)
+
+
+def _repro_defect(args) -> int:
+    rep = triangle_defect_report(args.levels)
+    _say("levels", rep.levels)
+    _say("confined_length", rep.confined_length)
+    _say("detour_ratio_bound", rep.detour_ratio_bound)
+    _say("projected_lower_bound", rep.projected_lower_bound)
+    _say("legs_total", rep.legs_total)
+    _say("escape_length", rep.escape_length)
+    return _verdict(rep.defect_confirmed)
+
+
+def _repro_comb(args) -> int:
+    depths = [int(d) for d in args.depths.split(",") if d]
+    div = comb_divergence(depths)
+    _say("depth distance")
+    for n, v in div.values:
+        _say(n, v)
+    return _verdict(div.strictly_increasing)
+
+
+def _repro_detour(args) -> int:
+    report = _strips(args)
+    worst = max(max_corner_detour_ratio(t, args.samples) for t in report.trapezia)
+    const_ok = math.sqrt(3.0) / 4.0 > 2.0 / 5.0
+    _say("trapezia", len(report.trapezia))
+    _say("max_ratio", worst)
+    _say("ratio_bound", 2.5)
+    _say("constant_check", "PASS" if const_ok else "FAIL")
+    return _verdict(worst <= 2.5 and const_ok)
+
+
+def _repro_strips(args) -> int:
+    report = _strips(args)
+    _say("strips", len(report.strips))
+    _say("min_distance", report.min_distance)
+    if report.closest_pair:
+        (j1, k1), (j2, k2) = report.closest_pair
+        _say("closest_pair", f"({j1},{k1})-({j2},{k2})")
+    _say("ray_residual", report.ray_residual)
+    _say("fallback_pairs", report.fallback_pairs)
+    return _verdict(report.disjoint and report.ray_residual <= 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -489,31 +492,26 @@ def cmd_compare(args) -> int:
     prof_a = boundary_profile(domain_a, args.samples)
     prof_b = boundary_profile(domain_b, args.samples)
     align = compare_profiles(prof_a, prof_b)
-    print(f"samples {args.samples}")
-    print(f"alignment shift {align.shift} reflected "
-          f"{'true' if align.reflected else 'false'}")
-    print(f"profile_residual {fmt12(align.residual)}")
+    _say("samples", args.samples)
+    _say("alignment shift", align.shift, "reflected", align.reflected)
+    _say("profile_residual", align.residual)
     isometric = align.residual <= tol
-    print(f"isometric {'true' if isometric else 'false'}")
+    _say("isometric", isometric)
     congruent = False
     if isometric:
         cong = euclidean_congruence(prof_a, prof_b, align, tol)
         congruent = cong.congruent
-        print(f"congruence_gap {fmt12(cong.max_gap)}")
-        print(f"congruent {'true' if congruent else 'false'}")
+        _say("congruence_gap", cong.max_gap)
+        _say("congruent", congruent)
     if args.eta is not None:
         rep = transfer_from_profiles(domain_a, domain_b, prof_a, prof_b, args.eta, tol)
-        print(f"transfer applicable {'true' if rep.applicable else 'false'}")
-        print(f"transfer agrees {'true' if rep.agrees else 'false'}")
-        print(
-            "transfer falsification_candidate "
-            f"{'true' if rep.falsification_candidate else 'false'}"
-        )
-        print(f"transfer note: {rep.note}")
+        _say("transfer applicable", rep.applicable)
+        _say("transfer agrees", rep.agrees)
+        _say("transfer falsification_candidate", rep.falsification_candidate)
+        _say("transfer note:", rep.note)
     if args.csv:
         names = [f"s{i}" for i in range(prof_a.size)]
-        Path(args.csv).write_text(matrix_csv(names, prof_a.matrix))
-        print(f"wrote {args.csv}")
+        _write(matrix_csv(names, prof_a.matrix), args.csv)
     if args.svg:
         sigma = align.permutation(prof_b.size)
         fig = Scene(
@@ -524,10 +522,8 @@ def cmd_compare(args) -> int:
         extra = {
             f"b{i}": prof_b.samples[int(k)] for i, k in enumerate(sigma)
         }
-        Path(args.svg).write_text(render_svg(fig, extra_points=extra))
-        print(f"wrote {args.svg}")
-    ok = isometric and congruent
-    return _verdict(ok)
+        _write(render_svg(fig, extra_points=extra), args.svg)
+    return _verdict(isometric and congruent)
 
 
 # ---------------------------------------------------------------------------
@@ -564,10 +560,11 @@ def build_parser() -> argparse.ArgumentParser:
     g_strips.add_argument("--levels", type=int, default=2)
     g_strips.add_argument("--coils", type=int, default=2)
     add_samples_per_coil(g_strips, 24)
-    for p in (g_comb, g_family, g_spiral, g_strips):
+    for p, build in ((g_comb, _gen_comb), (g_family, _gen_family),
+                     (g_spiral, _gen_spiral), (g_strips, _gen_strips)):
         p.add_argument("--out", help="write the scene file here (default stdout)")
         p.add_argument("--svg", help="also render an SVG figure")
-        p.set_defaults(func=cmd_gen)
+        p.set_defaults(func=cmd_gen, build=build)
 
     d = sub.add_parser("dist", help="distance between two named points")
     d.add_argument("scene")
@@ -584,9 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
     mx.set_defaults(func=cmd_matrix)
 
     c = sub.add_parser("check", help="metric and convexity property checks")
-    c.add_argument(
-        "what", choices=["metric", "geodesic", "convexity", "circ", "ambient"]
-    )
+    c.add_argument("what", choices=list(_CHECKS))
     c.add_argument("scene")
     c.add_argument("--tol", type=float, default=None)
     c.add_argument("--points", type=_name_list, help="comma-separated point names (default: all)")
@@ -603,29 +598,33 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("repro", help="reproduce a headline bound with a verdict")
     rs = r.add_subparsers(dest="target", required=True, parser_class=_Parser)
     r_lab = rs.add_parser("labyrinth", help="spiral labyrinth length threshold")
+    r_lab.set_defaults(func=_repro_labyrinth)
     r_lab.add_argument("--radius", type=float, default=1.0)
     r_lab.add_argument("--pitch", type=float, default=1e-3)
     r_lab.add_argument("--threshold", type=float, default=10.0)
     r_lab.add_argument("--m-max", type=int, default=16, dest="m_max")
     add_samples_per_coil(r_lab, 64)
     r_bound = rs.add_parser("bound", help="confined length bound for the family")
+    r_bound.set_defaults(func=_repro_bound)
     r_bound.add_argument("--levels", type=int, default=2)
     r_bound.add_argument("--tol-floor", type=float, default=0.01, dest="tol_floor")
     r_defect = rs.add_parser("defect", help="triangle inequality defect chain")
+    r_defect.set_defaults(func=_repro_defect)
     r_defect.add_argument("--levels", type=int, default=2)
     r_comb = rs.add_parser("comb", help="comb distance growth table")
+    r_comb.set_defaults(func=_repro_comb)
     r_comb.add_argument("--depths", default="4,8,16,32")
     r_detour = rs.add_parser("detour", help="trapezium corner detour ratio")
+    r_detour.set_defaults(func=_repro_detour)
     r_detour.add_argument("--levels", type=int, default=2)
     r_detour.add_argument("--samples", type=int, default=1024)
     r_detour.add_argument("--coils", type=int, default=2)
     add_samples_per_coil(r_detour, 24)
     r_strips = rs.add_parser("strips", help="strip disjointness certificate")
+    r_strips.set_defaults(func=_repro_strips)
     r_strips.add_argument("--levels", type=int, default=3)
     r_strips.add_argument("--coils", type=int, default=2)
     add_samples_per_coil(r_strips, 24)
-    for p in (r_lab, r_bound, r_defect, r_comb, r_detour, r_strips):
-        p.set_defaults(func=cmd_repro)
 
     cp = sub.add_parser("compare", help="boundary profile comparison")
     cp.add_argument("scene_a")
@@ -649,10 +648,7 @@ def main(argv=None) -> int:
     except UnreachableError as exc:
         print(f"unreachable: {exc}", file=sys.stderr)
         return EXIT_UNREACHABLE
-    except GeometryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SPEC
-    except OSError as exc:
+    except (GeometryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC
 

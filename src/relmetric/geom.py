@@ -404,21 +404,20 @@ def blocked_rays(
     FA: np.ndarray,
     FB: np.ndarray,
     angles: Sequence[tuple[float, float]],
-    eps: float = EPS_GEOM,
 ) -> list[tuple[list[float], int | None]]:
     """For each point P[i]: the angles of the feature directions leaving it
     (both ways for a feature whose interior passes through it), and the
     index of the first such feature, or None.
 
     Features are given as by :func:`feature_arrays`.  One distance kernel
-    finds the features within eps of each point; only those few pairs are
+    finds the features within EPS_GEOM of each point; only those few pairs are
     visited in Python."""
     rays: list[list[float]] = [[] for _ in range(len(P))]
     host: list[int | None] = [None] * len(P)
-    ii, kk = np.nonzero(_batch.point_seg_dists(P, FA, FB) <= eps) if len(P) and len(FA) else ([], [])
+    ii, kk = np.nonzero(_batch.point_seg_dists(P, FA, FB) <= EPS_GEOM) if len(P) and len(FA) else ([], [])
     if len(ii):
-        at_a = (np.hypot(P[ii, 0] - FA[kk, 0], P[ii, 1] - FA[kk, 1]) <= eps).tolist()
-        at_b = (np.hypot(P[ii, 0] - FB[kk, 0], P[ii, 1] - FB[kk, 1]) <= eps).tolist()
+        at_a = (np.hypot(P[ii, 0] - FA[kk, 0], P[ii, 1] - FA[kk, 1]) <= EPS_GEOM).tolist()
+        at_b = (np.hypot(P[ii, 0] - FB[kk, 0], P[ii, 1] - FB[kk, 1]) <= EPS_GEOM).tolist()
         for i, k, end_a, end_b in zip(ii.tolist(), kk.tolist(), at_a, at_b):
             fwd, back = angles[k]
             if end_a:

@@ -406,13 +406,12 @@ def check_property_circ(
     domain: PlanarDomain,
     boundary_samples: Sequence[Point2],
     eta: float,
-) -> tuple[bool, tuple[tuple[int, int, Point2, float], ...]]:
+) -> ConvexityReport:
     """Strict-convexity test restricted to boundary point pairs."""
     for p in boundary_samples:
         if contains(domain, p) is not Region.BOUNDARY:
             raise SpecInvalid(f"sample ({p.x}, {p.y}) is not a boundary point")
-    report = check_strict_convexity(domain, boundary_samples, eta)
-    return report.strictly_convex, report.witnesses
+    return check_strict_convexity(domain, boundary_samples, eta)
 
 
 def check_rho_equals_ambient(

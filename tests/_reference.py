@@ -82,11 +82,11 @@ def polygon_signed_area(vertices: Sequence[Point2]) -> float:
     return 0.5 * acc
 
 
-def free_wedges(domain: PlanarDomain, p: Point2, eps: float = EPS_GEOM) -> list[tuple[float, float]]:
+def free_wedges(domain: PlanarDomain, p: Point2) -> list[tuple[float, float]]:
     """Angular intervals (start, span) of directions not blocked at boundary
     point p, starts in [0, 2*pi) in increasing order.  An unconstrained
     point yields one full turn."""
-    return wedges_from_rays(blocked_rays(np.array([p.as_tuple()]), *domain_arrays(domain)[:3], eps)[0][0])
+    return wedges_from_rays(blocked_rays(np.array([p.as_tuple()]), *domain_arrays(domain)[:3])[0][0])
 
 
 def max_corner_detour_ratio(trap: Trapezium, samples: int = 1024) -> float:

@@ -242,11 +242,11 @@ def test_fine_polygon_strictly_convex():
 
 def test_slit_domain_fails_circ(slit_dom):
     samples = boundary_arc_points(slit_dom, 8)
-    ok, witnesses = check_property_circ(slit_dom, samples, eta=0.05)
-    assert not ok
-    assert witnesses
+    rep = check_property_circ(slit_dom, samples, eta=0.05)
+    assert not rep.strictly_convex
+    assert rep.witnesses
     # every witness reports a touch point and its clearance
-    i, j, where, clearance = witnesses[0]
+    i, j, where, clearance = rep.witnesses[0]
     assert clearance <= 1e-9
 
 
