@@ -38,9 +38,10 @@ def _stack4(A, B, C, D):
 def cross_matrix(p: np.ndarray, Q: np.ndarray, FA: np.ndarray, FB: np.ndarray, eps: float) -> np.ndarray:
     """Proper-crossing mask of segments p->Q[j] against features (FA[i], FB[i]).
 
-    Returns bool array of shape (len(Q), len(FA)).
+    One source p (2,) gives a bool array (len(Q), len(FA)); a block of
+    sources (s, 2) gives (s, len(Q), len(FA)).
     """
-    px, py = float(p[0]), float(p[1])
+    px, py = p[..., 0, None, None], p[..., 1, None, None]
     qx = Q[:, 0][:, None]
     qy = Q[:, 1][:, None]
     ax = FA[:, 0][None, :]
@@ -60,10 +61,13 @@ def point_seg_dists(P: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def seg_point_dists(p: np.ndarray, Q: np.ndarray, N: np.ndarray) -> np.ndarray:
-    """Distances from nodes N (n,2) to segments p->Q[j] (k,2): (k,n)."""
+    """Distances from nodes N (n,2) to segments p->Q[j] (k,2): (k,n).  p is
+    one start (2,) or a start per segment (k,2)."""
+    A = np.broadcast_to(p, Q.shape)
     out = np.empty((len(Q), len(N)))
     for lo in range(0, len(Q), _NODE_BLOCK):
-        out[lo : lo + _NODE_BLOCK] = _pseg(N[None], p, Q[lo : lo + _NODE_BLOCK, None])
+        hi = lo + _NODE_BLOCK
+        out[lo:hi] = _pseg(N[None], A[lo:hi, None], Q[lo:hi, None])
     return out
 
 

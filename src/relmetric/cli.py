@@ -127,15 +127,17 @@ def _strips(args) -> StripsReport:
     )
 
 
+def _values(text: str, kind: type, flag: str, noun: str) -> tuple:
+    try:
+        return tuple(kind(d) for d in text.split(",") if d)
+    except ValueError:
+        raise SpecInvalid(f"{flag} must be comma-separated {noun}, got {text!r}") from None
+
+
 def _cfg_from(scene: Scene, args) -> MetricConfig:
     updates = {}
     if args.offsets:
-        try:
-            updates["offsets"] = tuple(float(d) for d in args.offsets.split(",") if d)
-        except ValueError:
-            raise SpecInvalid(
-                f"--offsets must be comma-separated numbers, got {args.offsets!r}"
-            ) from None
+        updates["offsets"] = _values(args.offsets, float, "--offsets", "numbers")
     if args.extrapolation:
         updates["extrapolation"] = args.extrapolation
     return dataclasses.replace(scene.config, **updates) if updates else scene.config
@@ -449,8 +451,7 @@ def _repro_defect(args) -> int:
 
 
 def _repro_comb(args) -> int:
-    depths = [int(d) for d in args.depths.split(",") if d]
-    div = comb_divergence(depths)
+    div = comb_divergence(_values(args.depths, int, "--depths", "integers"))
     _say("depth distance")
     for n, v in div.values:
         _say(n, v)

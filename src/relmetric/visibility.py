@@ -9,7 +9,6 @@ allowing paths to ride along walls.
 """
 from __future__ import annotations
 
-import bisect
 import heapq
 import math
 from dataclasses import dataclass
@@ -37,6 +36,9 @@ from .geom import (
 )
 
 PROBE_DELTA = 1e-7
+# (source, candidate, feature) triples per crossing-filter block, 32 KiB per
+# float temporary; when all base rows fit in one block they are computed at once
+_ROW_BLOCK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -289,37 +291,40 @@ class PreparedScene:
     # -- lazy visibility ----------------------------------------------------
 
     def _vis_row(self, i: int) -> list[int]:
-        """Base nodes visible from base node i (cached)."""
-        row = self._nbrs.get(i)
-        if row is None:
-            row = self._nbrs[i] = self._visibility(self._P[i], self._P, skip_base=i).tolist()
-        return row
+        """Base nodes visible from base node i, cached; a miss computes all n rows if they fit one block."""
+        if i not in self._nbrs:
+            src = np.arange(self._n) if self._n**2 * len(self._FA) <= _ROW_BLOCK else np.array([i])
+            for j, row in zip(src.tolist(), self._visibility(self._P[src], self._P, src)):
+                self._nbrs[j] = row.tolist()
+        return self._nbrs[i]
 
-    def _visibility(self, p: np.ndarray, Q: np.ndarray, skip_base: int | None = None) -> np.ndarray:
-        """Indices, ascending, of the candidates Q[j] visible from p.  The
-        first ``_n`` rows of Q are the base nodes in order; p is base node
-        `skip_base` or an off-node terminal, which has no base node within
-        EPS_GEOM.
+    def _visibility(self, S: np.ndarray, Q: np.ndarray, skip: Sequence[int]) -> list[np.ndarray]:
+        """For each source S[r], the indices, ascending, of the candidates
+        Q[j] visible from it.  The first ``_n`` rows of Q are the base nodes
+        in order; source r sits at base node skip[r], or at none (-1): an
+        off-node terminal has no base node within EPS_GEOM.
 
-        Two filters, the more selective first: the segment p->Q[j] must
-        properly cross no feature, and only the survivors are tested for
-        passing through a base node."""
-        far = np.linalg.norm(Q - p[None, :], axis=1) > EPS_GEOM
-        if skip_base is not None:
-            far[skip_base] = False
-        idx = np.nonzero(far)[0]
-        if idx.size:
-            idx = idx[~_batch.cross_matrix(p, Q[idx], self._FA, self._FB, EPS_GEOM).any(axis=1)]
-        if idx.size:
-            near = _batch.seg_point_dists(p, Q[idx], self._P) <= EPS_GEOM
-            # a base-node candidate and the source node end the segment;
-            # the base nodes come first in idx
-            cut = bisect.bisect_left(idx, self._n)
-            near[np.arange(cut), idx[:cut]] = False
-            if skip_base is not None:
-                near[:, skip_base] = False
-            idx = idx[~near.any(axis=1)]
-        return idx
+        The sources go in chunks of at most ``_ROW_BLOCK`` (source, candidate,
+        feature) triples.  Two filters, the more selective first: the segment
+        S[r]->Q[j] must properly cross no feature, and only the surviving
+        pairs are tested for passing through a base node."""
+        skip = np.asarray(skip, dtype=np.intp)
+        step = max(1, _ROW_BLOCK // max(1, len(Q) * len(self._FA)))
+        rows = []
+        for lo in range(0, len(S), step):
+            B, at = S[lo : lo + step], skip[lo : lo + step]
+            ok = np.linalg.norm(Q[None] - B[:, None], axis=2) > EPS_GEOM
+            ok[at >= 0, at[at >= 0]] = False
+            ok &= ~_batch.cross_matrix(B, Q, self._FA, self._FB, EPS_GEOM).any(axis=2)
+            si, cj = np.nonzero(ok)
+            near = _batch.seg_point_dists(B[si], Q[cj], self._P) <= EPS_GEOM
+            # a base-node candidate and the source's node end the segment
+            pair, at = np.arange(len(si)), at[si]
+            near[pair[cj < self._n], cj[cj < self._n]] = False
+            near[pair[at >= 0], at[at >= 0]] = False
+            ok[si, cj] = ~near.any(axis=1)
+            rows += [np.flatnonzero(r) for r in ok]
+        return rows
 
     # -- terminals -----------------------------------------------------------
 
@@ -438,14 +443,13 @@ class PreparedScene:
         Q = np.vstack([self._P, T])
         base_row: dict[int, list[int]] = {}
         point_row: dict[int, list[int]] = {}
-        for c in off:
-            row = self._visibility(T[c], Q, at_node.get(c))
+        for c, row in zip(off, self._visibility(T[off], Q, [at_node.get(c, -1) for c in off])):
             if c in exposed:
                 # a wedge outside the region: keep the edges whose
                 # midpoints lie in it
                 row = row[self._region_mask(0.5 * (T[c] + Q[row]))]
+            cut = row.searchsorted(n)
             row = row.tolist()
-            cut = bisect.bisect_left(row, n)
             base_row[c] = row[:cut]
             # the through-node test rejects a point at a base node, which is
             # seen wherever its node is

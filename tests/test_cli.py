@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from relmetric.cli import main
+from relmetric.cli import EXIT_SPEC, main
 from relmetric.errors import SceneInvalid
 from relmetric.geom import PlanarDomain, Point2, Segment2
 from relmetric.sceneio import (
@@ -369,6 +369,15 @@ def test_malformed_offsets_are_usage_errors(tmp_path, capsys):
             assert out.out == ""
             assert out.err.startswith("error: ") and out.err.count("\n") == 1
             assert "Traceback" not in out.err
+
+
+def test_malformed_depths_are_usage_errors(capsys):
+    for value in ("x", "4,x", "4,0.5"):
+        capsys.readouterr()
+        assert main(["repro", "comb", "--depths", value]) == EXIT_SPEC
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: --depths must be comma-separated integers, got {value!r}\n"
 
 
 def test_unknown_subcommand_exits_1(capsys):

@@ -8,6 +8,9 @@ Every pair must come out equal: reached, length and path vertices.
 
 The engine also tests the wedges of all its split nodes with one region
 mask; a reference that masks node by node must find the same wedges.
+
+Rows are computed for a block of sources at once; each must equal the row
+of its source computed alone, whatever the block budget.
 """
 import math
 import random
@@ -15,7 +18,7 @@ import random
 import numpy as np
 import pytest
 
-from relmetric import _batch
+from relmetric import _batch, visibility
 from relmetric.constructions import (
     LEG_A,
     LEG_D,
@@ -36,6 +39,7 @@ from relmetric.geom import (
     Segment2,
     blocked_rays,
     contains,
+    point_array,
     wedges_from_rays,
 )
 from relmetric.rigidity import boundary_arc_points
@@ -46,23 +50,28 @@ from relmetric.visibility import (
     _floor_radius_at,
     circumscribed_polygon,
 )
+from test_acceptance import _free_point, _random_obstacles
 
 P = Point2
 
 
 class MaskedScene(PreparedScene):
-    """Reference engine: the visibility row with the midpoint region mask."""
+    """Reference engine: the visibility row with the midpoint region mask,
+    computed source by source."""
 
-    def _visibility(self, p, Q, skip_base=None):
+    def _visibility(self, S, Q, skip):
+        return [self._masked_row(p, Q, s) for p, s in zip(S, skip)]
+
+    def _masked_row(self, p, Q, skip_base):
         ok = np.linalg.norm(Q - p[None, :], axis=1) > EPS_GEOM
-        if skip_base is not None:
+        if skip_base >= 0:
             ok[skip_base] = False
         if ok.any():
             ok &= ~_batch.cross_matrix(p, Q, self._FA, self._FB, EPS_GEOM).any(axis=1)
         if ok.any():
             near = _batch.seg_point_dists(p, Q, self._P) <= EPS_GEOM
             near[np.arange(self._n), np.arange(self._n)] = False
-            if skip_base is not None:
+            if skip_base >= 0:
                 near[:, skip_base] = False
             ok &= ~near.any(axis=1)
         if ok.any():
@@ -206,3 +215,49 @@ def test_node_wedges_match_the_per_node_mask():
         assert engine._node_wedges == want
         dropped += n
     assert dropped > 0
+
+
+def _row_cases():
+    """(scene, floor, points) on the scenes above and on 50 seeded random
+    obstacle scenes."""
+    yield clipped_family_scene((1, 2)), circumscribed_polygon(1.0, 12), [LEG_A.scaled(2.0), P(2.5, 0.3)]
+    for seed in range(5):
+        domain = random_slit_domain(seed)
+        yield ObstacleScene.from_domain(domain), None, boundary_arc_points(domain, 8)
+    for depth in (4, 8, 16):
+        domain = comb_domain(CombSpec(depth=depth))
+        yield ObstacleScene.from_domain(domain), None, boundary_arc_points(domain, 12) + [P(0.9, 1.2)]
+    lab = spiral_labyrinth(SpiralSpec(1.0, 1, 0.03))
+    yield lab.scene, None, [lab.entrance, lab.exit, P(1.2, 0.3)]
+    square = PlanarDomain([P(0, 0), P(1, 0), P(1, 1), P(0, 1)])
+    yield ObstacleScene.from_domain(square), circumscribed_polygon(1.0, 4), [P(1, 0.5), P(0.5, 1)]
+    rng = random.Random(12)
+    for _ in range(50):
+        scene = _random_obstacles(rng)
+        yield scene, None, [_free_point(rng, scene) for _ in range(4)]
+
+
+def test_block_rows_equal_single_source_rows(monkeypatch):
+    cases = [(scene, floor, points, {}) for scene, floor, points in _row_cases()]
+    # the default budget, then chunks of a few sources, then one source each
+    for block in (visibility._ROW_BLOCK, 200, 1):
+        monkeypatch.setattr(visibility, "_ROW_BLOCK", block)
+        for scene, floor, points, paths in cases:
+            engine = PreparedScene(scene, floor=floor)
+            n = engine._n
+            base = [r.tolist() for r in engine._visibility(engine._P, engine._P, np.arange(n))]
+            assert base == [engine._visibility(engine._P[[i]], engine._P, [i])[0].tolist() for i in range(n)]
+            # the points, the first two at base nodes 0 and 1, against the
+            # base nodes and the points
+            T = np.vstack([engine._P[:2], point_array(points)])
+            Q, at = np.vstack([engine._P, T]), [0, 1] + [-1] * len(points)
+            rows = [r.tolist() for r in engine._visibility(T, Q, at)]
+            assert rows == [engine._visibility(T[[r]], Q, at[r : r + 1])[0].tolist() for r in range(len(T))]
+            # the cache: every base row on the first miss when they fit one
+            # block, else one row at a time
+            engine._vis_row(0)
+            assert len(engine._nbrs) == (n if n * n * len(engine._FA) <= block else 1)
+            assert [engine._vis_row(i) for i in range(n)] == base
+            if floor is None and n < 20:
+                got = _keys(engine.shortest_paths(points))
+                assert got == paths.setdefault("want", got)
