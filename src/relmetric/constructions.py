@@ -51,7 +51,7 @@ from .geom import (
     point_array,
     polygon_edges,
 )
-from .metric import MetricConfig, rho
+from .metric import rho
 from .visibility import (
     ObstacleScene,
     PathResult,
@@ -126,17 +126,16 @@ class CombDivergence:
     strictly_increasing: bool
 
 
-def comb_divergence(
-    depths: Sequence[int],
-    probe: Point2 = Point2(1.0, 1.5),
-    cfg: MetricConfig | None = None,
-) -> CombDivergence:
-    """Distance from `probe` to the cap midpoint for each truncation depth.
+def comb_divergence(depths: Sequence[int]) -> CombDivergence:
+    """Distance from the probe (1, 1.5) to the cap midpoint for each
+    truncation depth.
 
     The probe sits on the wide-end wall, the target on the cap, so both ends
     are plain wall points (no side hints needed).  Deeper combs mean longer
     zigzags, so the sequence must increase.
     """
+    if len(depths) < 2:
+        raise SpecInvalid(f"need at least two depths to compare, got {len(depths)}")
     if list(depths) != sorted(set(depths)):
         raise SpecInvalid("depths must be strictly increasing")
     values = []
@@ -144,7 +143,7 @@ def comb_divergence(
         spec = CombSpec(depth=n)
         dom = comb_domain(spec)
         target = Point2(spec.cap, spec.cap)
-        est = rho(dom, probe, target, cfg)
+        est = rho(dom, Point2(1.0, 1.5), target)
         values.append((n, est.value))
     incs = tuple(b[1] - a[1] for a, b in zip(values, values[1:]))
     return CombDivergence(tuple(values), incs, all(d > 0 for d in incs))
@@ -183,17 +182,17 @@ def _level_segments(j: int) -> list[Segment2]:
     return out
 
 
-def wedge_triangle(scale: float = TRIANGLE_SCALE) -> PlanarDomain:
+def wedge_triangle() -> PlanarDomain:
     return PlanarDomain(
-        (Point2(0.0, 0.0), LEG_A.scaled(scale), LEG_D.scaled(scale)), (), ()
+        (Point2(0.0, 0.0), LEG_A.scaled(TRIANGLE_SCALE), LEG_D.scaled(TRIANGLE_SCALE)), (), ()
     )
 
 
-def _clip_to_wall(seg: Segment2, scale: float) -> Segment2:
+def _clip_to_wall(seg: Segment2) -> Segment2:
     """Shorten a radial segment so its outer end lies on (not beyond) the
     far wall of the wedge triangle."""
-    w1 = LEG_A.scaled(scale)
-    w2 = LEG_D.scaled(scale)
+    w1 = LEG_A.scaled(TRIANGLE_SCALE)
+    w2 = LEG_D.scaled(TRIANGLE_SCALE)
     w = w2 - w1
     u = seg.direction()
     denom = u.cross(w)
@@ -207,9 +206,7 @@ def _clip_to_wall(seg: Segment2, scale: float) -> Segment2:
     return Segment2(seg.a, u.scaled(r_hit))
 
 
-def clipped_family_scene(
-    levels: Iterable[int], scale: float = TRIANGLE_SCALE
-) -> ObstacleScene:
+def clipped_family_scene(levels: Iterable[int]) -> ObstacleScene:
     """Obstacle scene for the chosen levels, bounded by the wedge triangle.
 
     Rays longer than the triangle are cut exactly at the far wall; the
@@ -220,15 +217,14 @@ def clipped_family_scene(
     for j in sorted(set(levels)):
         if j < 1:
             raise SpecInvalid(f"level must be >= 1, got {j}")
-        segs.extend(_clip_to_wall(s, scale) for s in _level_segments(j))
-    return ObstacleScene(tuple(segs), boundary=wedge_triangle(scale))
+        segs.extend(_clip_to_wall(s) for s in _level_segments(j))
+    return ObstacleScene(tuple(segs), boundary=wedge_triangle())
 
 
 def verify_length_bound(
     spec: SegmentFamilySpec,
     include_obstacles: bool = True,
     tol_floor: float = 0.01,
-    m_circle: int = 256,
 ) -> tuple[int, float]:
     """Shortest leg-to-leg connection confined to radii >= 4*2^-J among the
     clipped family obstacles; returns (J, length).
@@ -242,7 +238,7 @@ def verify_length_bound(
     if not 1 <= J <= 4:
         raise SpecInvalid(f"length bound defined for levels 1..4, got {J}")
     levels = range(1, J + 1) if include_obstacles else ()
-    length = confined_route(levels, 4.0 * 2.0**-J, m_circle).length
+    length = confined_route(levels, 4.0 * 2.0**-J).length
     if include_obstacles and length < 6.0 * (1.0 - tol_floor):
         raise GeometryError(
             f"confined length {length} at J={J} fell below the bound "

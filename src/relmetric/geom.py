@@ -442,6 +442,30 @@ def _hint_angle(wall: Segment2, hint: Hint) -> float:
     return math.atan2(n.y, n.x)
 
 
+def hinted_wedges(
+    wedges: list[tuple[float, float]],
+    p: Point2,
+    hint: Hint | None,
+    sides: Sequence[Segment2],
+) -> list[tuple[float, float]]:
+    """The wedges at p that a side hint keeps: those holding the hinted
+    normal of the first two-sided feature in `sides` (obstacle segments,
+    then slits) within EPS_GEOM of p.
+
+    A hint chooses between the two faces of such a feature and is ignored
+    everywhere else: with no hint, no two-sided feature at p, or no wedge
+    holding the normal (a node whose wedges keep only those opening into
+    the region), all the wedges are kept."""
+    if hint is None or not sides:
+        return wedges
+    A, B = point_array([s.a for s in sides]), point_array([s.b for s in sides])
+    on = np.flatnonzero(_batch.point_seg_dists(np.array([p.as_tuple()]), A, B)[0] <= EPS_GEOM)
+    if not on.size:
+        return wedges
+    theta = _hint_angle(sides[on[0]], hint)
+    return [w for w in wedges if _in_wedge(theta, w)] or wedges
+
+
 def inward_offsets(
     domain: PlanarDomain,
     p: Point2,
@@ -454,10 +478,10 @@ def inward_offsets(
     A representative lies on the bisector of a free wedge at p, in the open
     interior, and its step from p crosses no boundary feature.  Without a
     hint, each wedge that gives one at every delta is a face (a slit-wall
-    junction borders two).  A point on a slit interior needs a hint, which
-    keeps the wedges holding that side's normal of the first slit through p.
-    With a hint, or when no wedge serves every delta, there is one tuple: at
-    each delta, the first wedge that serves it.
+    junction borders two).  A point on a slit interior needs a hint, and a
+    hint keeps the wedges :func:`hinted_wedges` gives for the slits.  With
+    a hint, or when no wedge serves every delta, there is one tuple: at each
+    delta, the first wedge that serves it.
     """
     if min(deltas) <= 0.0:
         raise OffsetFailed("offset distance must be positive")
@@ -467,12 +491,7 @@ def inward_offsets(
     n_walls = len(FA) - len(domain.slits)
     if hint is None and host is not None and host >= n_walls:
         raise MissingHint(f"point ({p.x}, {p.y}) lies on a slit; side hint required")
-    wedges = wedges_from_rays(rays)
-    if hint is not None:
-        on_slit = np.nonzero(_batch.point_seg_dists(P, FA[n_walls:], FB[n_walls:])[0] <= EPS_GEOM)[0]
-        if on_slit.size:
-            preferred = _hint_angle(domain.slits[on_slit[0]], hint)
-            wedges = [w for w in wedges if _in_wedge(preferred, w)] or [(preferred, 0.0)]
+    wedges = hinted_wedges(wedges_from_rays(rays), p, hint, domain.slits)
 
     def along(theta: float, delta: float) -> Point2 | None:
         q = Point2(p.x + delta * math.cos(theta), p.y + delta * math.sin(theta))

@@ -189,16 +189,16 @@ def rho(
     cfg: MetricConfig | None = None,
     hint_x: str | None = None,
     hint_y: str | None = None,
-    warn: bool = True,
 ) -> DistanceEstimate:
     """Boundary-relative distance via the inward-offset schedule.
 
     Interior terminals are used as-is; boundary terminals are replaced by
     interior representatives at each offset delta.  A point on a slit needs a
     side hint because the two faces genuinely differ.  Unreachable pairs give
-    value ``inf`` (a result, not an error)."""
+    value ``inf`` (a result, not an error); a schedule that does not
+    converge warns."""
     est = distance_matrix(domain, [x, y], cfg, [hint_x, hint_y])[0][1]
-    if warn and not est.converged:
+    if not est.converged:
         warnings.warn(
             f"offset schedule did not converge for ({x.x}, {x.y})-({y.x}, {y.y}): "
             f"lengths {[length for _, length in est.per_offset]}",
@@ -386,6 +386,8 @@ def check_strict_convexity(
     """Every sample pair's geodesic must stay clear of the boundary except
     within eta of its endpoints.  The verdict is relative to the sampling
     resolution; polygonal domains legitimately fail on same-edge pairs."""
+    if len(boundary_samples) < 2:
+        raise SpecInvalid(f"need at least two boundary samples to pair, got {len(boundary_samples)}")
     paths = _engine(domain).shortest_paths(boundary_samples)
     witnesses = []
     for i in range(len(boundary_samples)):

@@ -284,10 +284,9 @@ def _svg_bbox(pts: list[Point2]) -> tuple[float, float, float, float]:
 def render_svg(
     scene: Scene,
     extra_points: dict[str, Point2] | None = None,
-    width: int = 640,
 ) -> str:
-    """Static SVG 1.1 figure: domain fill, slits, obstacle segments and
-    labeled points."""
+    """Static SVG 1.1 figure, 640 units wide: domain fill, slits, obstacle
+    segments and labeled points."""
     world: list[Point2] = []
     if scene.domain is not None:
         world.extend(scene.domain.outer)
@@ -305,6 +304,7 @@ def render_svg(
     x0, y0, x1, y1 = _svg_bbox(world)
     span = max(x1 - x0, y1 - y0, 1e-9)
     pad = 0.05 * span
+    width = 640
     k = width / (span + 2 * pad)
     height = math.ceil((y1 - y0 + 2 * pad) * k)
 

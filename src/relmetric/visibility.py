@@ -26,11 +26,11 @@ from .geom import (
     Point2,
     Polyline,
     Segment2,
-    _hint_angle,
     _in_wedge,
     blocked_rays,
     domain_arrays,
     feature_arrays,
+    hinted_wedges,
     point_array,
     wedges_from_rays,
 )
@@ -195,15 +195,17 @@ class PreparedScene:
     through a joint between two walls, but may still ride along a wall,
     because directions on a wedge border belong to both neighboring wedges.
 
-    Terminals: a query point within EPS_GEOM of a base node is that node.
-    Any other query point c becomes node ``_n + c`` of the query graph, with
-    a position, a wedge list (the side of a two-sided wall its hint selects)
-    and a visibility row like a base node, computed once per query against
-    the base nodes and all the query points.  A search from point i runs to
-    the points j > i: the source's row decides its direct edges, and the
-    rows of the base nodes that a target sees gain that target.  Off-node
-    targets are sinks, settled but never expanded, so a path never passes
-    through another query point.
+    Terminals: every query point c becomes node ``_n + c`` of the query
+    graph, with a position, a wedge list and a visibility row like a base
+    node, computed once per query against the base nodes and all the query
+    points.  A point within EPS_GEOM of base node v takes v's position and
+    wedges, and its row is v's row; it is seen wherever v is.  A side hint
+    keeps the face :func:`geom.hinted_wedges` gives, and is ignored where
+    no obstacle segment or slit passes through the point.  A search from
+    point i runs to the points j > i: the source's row decides its direct
+    edges, and the rows of the base nodes that a target sees gain that
+    target.  Targets are sinks, settled but never expanded, so a path never
+    passes through another query point.
 
     Region: the domain closure (the whole plane without a boundary) minus
     the open floor polygon.  Terminals must lie in it: a point outside the
@@ -238,6 +240,8 @@ class PreparedScene:
         self._pos_index = {p: i for i, p in enumerate(self.base_points)}
         self._n = len(self.base_points)
         self._FA, self._FB, self._angles = feature_arrays(self.features)
+        # the two-sided features, whose side a hint chooses
+        self._sides = scene.segments + (() if scene.boundary is None else scene.boundary.slits)
         self._P = point_array(self.base_points)
         # region-mask inputs; the floor edges follow the scene's own features,
         # and their starts are the floor polygon
@@ -337,19 +341,6 @@ class PreparedScene:
             idx = int(near[0]) if near.size else None
         return idx
 
-    def _node_face(self, p: Point2, node: int, hint: str) -> list[tuple[float, float]]:
-        """The wedges of base node `node`, at p, that hold the hinted normal
-        of the first two-sided feature (obstacle segment or slit) within
-        EPS_GEOM of p; none when no such feature meets p."""
-        slits = () if self.scene.boundary is None else self.scene.boundary.slits
-        two = np.r_[: len(self.scene.segments), self._walls.stop - len(slits) : self._walls.stop]
-        near = _batch.point_seg_dists(np.array([p.as_tuple()]), self._FA[two], self._FB[two])[0]
-        hit = two[near <= EPS_GEOM]
-        if not hit.size:
-            return []
-        th = _hint_angle(self.features[hit[0]], hint)
-        return [w for w in self._node_wedges[node] if _in_wedge(th, w)]
-
     def _terminal_wedges(
         self, p: Point2, rays: list[float], host: int | None, hint: str | None, label: str
     ) -> tuple[list[tuple[float, float]], bool]:
@@ -357,13 +348,10 @@ class PreparedScene:
         into the region: a hint may choose a side outside it, and a point
         with no side in the region keeps all its wedges."""
         wedges = wedges_from_rays(rays)
-        if host is None or len(wedges) < 2:
+        if host is None:
             return wedges, True
+        wedges = hinted_wedges(wedges, p, hint, self._sides)
         viable = self._viable_wedges(np.array([p.as_tuple()]), [wedges])[0]
-        if hint is not None:
-            th = _hint_angle(self.features[host], hint)
-            chosen = [w for w in wedges if _in_wedge(th, w)] or wedges
-            return chosen, all(w in viable for w in chosen)
         if len(viable) == 1:
             return viable, True
         if len(viable) == 0:
@@ -391,11 +379,10 @@ class PreparedScene:
         (None elsewhere) is the path from points[i] to points[j], exactly as
         a search for that pair alone finds it.
 
-        Each off-node point gets its wedges and one visibility row, against
-        the base nodes and all the points.  One search per source i then
-        settles the points j > i; off-node targets are sinks.  Errors are
-        those of the pairs taken in order: point 0 is terminal a, any later
-        point terminal b."""
+        Each point gets its wedges and one visibility row, against the base
+        nodes and all the points.  One search per source i then settles the
+        points j > i.  Errors are those of the pairs taken in order: point 0
+        is terminal a, any later point terminal b."""
         k = len(points)
         out: list[list[PathResult | None]] = [[None] * k for _ in range(k)]
         if k < 2:
@@ -411,13 +398,10 @@ class PreparedScene:
         node_wedges = self._node_wedges + [[] for _ in range(k)]
         labels = "a" + "b" * (k - 1)
         exposed: set[int] = set()
-        # a hinted point at a split base node is off-node too, on the
-        # hinted face of that node
-        at_node: dict[int, int] = {}
         # checks in the order of the pairs: the pair (0, 1) checks both
         # positions before either point's wedges; a later point c comes with
         # the pair (0, c)
-        for c in range(k):
+        for c, v in enumerate(snapped):
             for d in (0, 1) if c == 0 else () if c == 1 else (c,):
                 if not inside[d]:
                     raise SceneInvalid(f"terminal {labels[d]} lies outside the domain")
@@ -425,73 +409,70 @@ class PreparedScene:
                     raise TerminalInsideFloor(
                         f"terminal {labels[d]} lies strictly inside the floor polygon"
                     )
-            if c in rays:
+            if v is None:
                 wedges, in_region = self._terminal_wedges(points[c], *rays[c], hints[c], labels[c])
                 node_wedges[n + c] = wedges
                 if not in_region:
                     exposed.add(c)
-            elif hints[c] is not None and len(self._node_wedges[snapped[c]]) > 1:
-                face = self._node_face(points[c], snapped[c], hints[c])
-                if face:
-                    node_wedges[n + c], at_node[c], snapped[c] = face, snapped[c], None
-        off += list(at_node)
-        # point c, when off-node, is node n + c of the query graph
-        nodes = [n + c if s is None else s for c, s in enumerate(snapped)]
+            else:
+                T[c] = self._P[v]
+                node_wedges[n + c] = hinted_wedges(
+                    self._node_wedges[v], points[c], hints[c], self._sides
+                )
 
-        # rows of the off-node points; column n + j is point j
-        positions = self.base_points + list(points)
+        # point c is node n + c; column n + j of a row is point j
+        positions = self.base_points + [
+            p if v is None else self.base_points[v] for p, v in zip(points, snapped)
+        ]
         Q = np.vstack([self._P, T])
-        base_row: dict[int, list[int]] = {}
-        point_row: dict[int, list[int]] = {}
-        for c, row in zip(off, self._visibility(T[off], Q, [at_node.get(c, -1) for c in off])):
+        at_node = [(n + d, v) for d, v in enumerate(snapped) if v is not None]
+        base_row: list[list[int]] = []
+        point_row: list[list[int]] = []
+        for c, row in enumerate(self._visibility(T, Q, [-1 if v is None else v for v in snapped])):
             if c in exposed:
                 # a wedge outside the region: keep the edges whose
                 # midpoints lie in it
                 row = row[self._region_mask(0.5 * (T[c] + Q[row]))]
             cut = row.searchsorted(n)
-            row = row.tolist()
-            base_row[c] = row[:cut]
+            base_row.append(row[:cut].tolist())
             # the through-node test rejects a point at a base node, which is
             # seen wherever its node is
-            point_row[c] = row[cut:] + [n + d for d, b in at_node.items() if b in base_row[c]]
+            seen = set(base_row[c])
+            point_row.append(sorted(row[cut:].tolist() + [t for t, v in at_node if v in seen]))
 
         for i in range(k - 1):
-            src = nodes[i]
-            targets: dict[int, list[int]] = {}
+            src = n + i
+            targets: list[int] = []
             for j in range(i + 1, k):
-                # a graph node (wall vertex or segment end) is one point; two
-                # mid-wall points coincide only when their sides overlap
-                if points[i].distance_to(points[j]) <= EPS_GEOM and (
-                    src < n or _wedges_share_interior(node_wedges[src], node_wedges[nodes[j]])
+                # two points coincide when their sides overlap
+                if points[i].distance_to(points[j]) <= EPS_GEOM and _wedges_share_interior(
+                    node_wedges[src], node_wedges[n + j]
                 ):
                     out[i][j] = PathResult(True, 0.0, Polyline((points[i],)))
                 else:
-                    targets.setdefault(nodes[j], []).append(j)
-            rows: dict[int, list[int]] = {}
-            if src >= n:
-                rows[src] = base_row[i] + [t for t in point_row[i] if t in targets]
+                    targets.append(n + j)
             seen_by: dict[int, list[int]] = {}
             for t in targets:
-                if t >= n:
-                    for v in base_row[t - n]:
-                        seen_by.setdefault(v, []).append(t)
-            for t, found in self._search(src, targets, positions, node_wedges, rows, seen_by).items():
-                for j in targets[t]:
-                    out[i][j] = found
+                for v in base_row[t - n]:
+                    seen_by.setdefault(v, []).append(t)
+            goal = set(targets)
+            rows = {src: base_row[i] + [t for t in point_row[i] if t in goal]}
+            for t, found in self._search(src, goal, positions, node_wedges, rows, seen_by).items():
+                out[i][t - n] = found
         return out
 
     def _search(
         self,
         src: int,
-        targets: dict[int, list[int]],
+        targets: set[int],
         positions: list[Point2],
         node_wedges: list[list[tuple[float, float]]],
         rows: dict[int, list[int]],
         seen_by: dict[int, list[int]],
     ) -> dict[int, PathResult]:
         """Dijkstra over (node, wedge) states from node src until every
-        target node is settled.  Off-node targets are never expanded; a base
-        node's neighbours are its row plus the targets that see it."""
+        target node is settled.  Targets are never expanded; a base node's
+        neighbours are its row plus the targets that see it."""
         n = self._n
 
         def neighbours(i: int) -> list[int]:
@@ -569,8 +550,6 @@ def shortest_path_confined(
     b: Point2,
     r_min: float,
     m_circle: int = 256,
-    hint_a: str | None = None,
-    hint_b: str | None = None,
 ) -> PathResult:
     """Shortest path that additionally keeps distance >= r_min from the origin.
 
@@ -583,7 +562,7 @@ def shortest_path_confined(
     between disk and polygon are snapped radially outward onto the polygon.
     """
     if r_min <= 0.0:
-        return PreparedScene(scene).shortest_path(a, b, hint_a=hint_a, hint_b=hint_b)
+        return PreparedScene(scene).shortest_path(a, b)
     used = []
     for label, t in (("a", a), ("b", b)):
         r = t.norm()
@@ -594,4 +573,4 @@ def shortest_path_confined(
         rim = _floor_radius_at(math.atan2(t.y, t.x), r_min, m_circle)
         used.append(t.scaled(rim / r) if r < rim else t)
     engine = PreparedScene(scene, floor=circumscribed_polygon(r_min, m_circle))
-    return engine.shortest_path(used[0], used[1], hint_a=hint_a, hint_b=hint_b)
+    return engine.shortest_path(used[0], used[1])

@@ -380,6 +380,19 @@ def test_malformed_depths_are_usage_errors(capsys):
         assert out.err == f"error: --depths must be comma-separated integers, got {value!r}\n"
 
 
+def test_verdicts_that_would_compare_nothing_are_usage_errors(tmp_path, capsys):
+    # one depth gives no increment, one sample no pair: a PASS would be vacuous
+    sq = write_scene(tmp_path, "a.json", square_scene())
+    commands = [["repro", "comb", "--depths", value] for value in ("4", ",")]
+    commands += [["check", what, sq, "--samples", "1"] for what in ("convexity", "circ")]
+    for argv in commands:
+        capsys.readouterr()
+        assert main(argv) == EXIT_SPEC
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: need at least two ") and out.err.count("\n") == 1
+
+
 def test_unknown_subcommand_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

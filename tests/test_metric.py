@@ -131,20 +131,31 @@ def test_unhinted_junction_takes_the_nearer_face():
         assert abs(M[0, 1] - exact) <= cfg.tol_metric
 
 
+ELL = (P(0, 0), P(2, 0), P(2, 1), P(1, 1), P(1, 2), P(0, 2))
+
+
 @pytest.mark.parametrize(
-    "slits, x",
+    "outer, slits, x, ys",
     [
-        ([(P(0, 0.5), P(0.6, 0.5))], P(0, 0.5)),
-        ([(P(0.2, 0.5), P(0.5, 0.5)), (P(0.5, 0.5), P(0.8, 0.5))], P(0.5, 0.5)),
+        (UNIT.outer, [(P(0, 0.5), P(0.6, 0.5))], P(0, 0.5), [P(0.3, 0.6), P(0.3, 0.4)]),
+        (
+            UNIT.outer,
+            [(P(0.2, 0.5), P(0.5, 0.5)), (P(0.5, 0.5), P(0.8, 0.5))],
+            P(0.5, 0.5),
+            [P(0.3, 0.6), P(0.3, 0.4)],
+        ),
+        (UNIT.outer, [], P(0, 0.5), [P(0.5, 0.5)]),
+        (ELL, [], P(1.5, 1), [P(0.5, 0.5), P(1, 1.5)]),
     ],
-    ids=["slit-wall junction", "slit-slit joint"],
+    ids=["slit-wall junction", "slit-slit joint", "one-sided wall", "wall at an inner corner"],
 )
-def test_hint_at_a_junction_selects_its_face(slits, x):
+def test_hint_at_a_junction_selects_its_face(outer, slits, x, ys):
     # the closure evaluation, from either end, takes the hinted face as the
-    # offsets do
-    dom = PlanarDomain(UNIT.outer, slits=tuple(Segment2(a, b) for a, b in slits))
+    # offsets do; on a wall with one side there is no face to choose and
+    # both ignore the hint
+    dom = PlanarDomain(outer, slits=tuple(Segment2(a, b) for a, b in slits))
     for hint in (None, "left", "right"):
-        for y in (P(0.3, 0.6), P(0.3, 0.4)):
+        for y in ys:
             value = rho(dom, x, y, hint_x=hint).value
             assert abs(closure_distance(dom, x, y, hint_x=hint).length - value) <= 1e-6
             assert abs(closure_distance(dom, y, x, hint_y=hint).length - value) <= 1e-6

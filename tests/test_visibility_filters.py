@@ -161,17 +161,22 @@ def test_terminals_with_a_side_outside_the_region():
     # along a shared wall only, never across the floor
     assert got[(0, 1)][:2] == (True, pytest.approx(0.3))
     assert not got[(0, 2)][0]
-    # rim points of a 12-gon floor, hinted to its inside
+    # rim points of a 12-gon floor: a hint has no two-sided feature to
+    # choose a side of, so every hint gives the unhinted route around the
+    # rim, longer than the chord across the floor
     bar = ObstacleScene((Segment2(P(3, -1), P(3, 1)),))
     corners = circumscribed_polygon(1.0, 12)
     rim = [_mid(Segment2(corners[0], corners[1])), _mid(Segment2(corners[5], corners[6]))]
-    for hint in ("left", "right"):
+    assert rim[0].distance_to(rim[1]) == pytest.approx(1.93185165258)
+    for hint in (None, "left", "right"):
         got = _assert_same(bar, rim, [hint, hint], floor=corners)
-        assert got[(0, 1)][0] is (hint == "right")
-    # the solid side of an L-shaped domain's inner corner, through the notch
+        assert got[(0, 1)][:2] == (True, pytest.approx(2.67949192431))
+    # wall points next to an L-shaped domain's inner corner: hinted to the
+    # solid side, they still meet along the walls, not through the notch
     ell = ObstacleScene.from_domain(PlanarDomain([P(0, 0), P(2, 0), P(2, 1), P(1, 1), P(1, 2), P(0, 2)]))
-    got = _assert_same(ell, [P(1.5, 1), P(1, 1.5)], ["right", "right"])
-    assert not got[(0, 1)][0]
+    for hint in (None, "right"):
+        got = _assert_same(ell, [P(1.5, 1), P(1, 1.5)], [hint, hint])
+        assert got[(0, 1)] == (True, pytest.approx(1.0), (P(1.5, 1), P(1, 1), P(1, 1.5)))
 
 
 def test_terminal_inside_the_floor_raises():
