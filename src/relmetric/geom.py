@@ -431,39 +431,40 @@ def blocked_rays(
     return list(zip(rays, host))
 
 
-def _hint_angle(wall: Segment2, hint: Hint) -> float:
-    """Direction of the wall's normal on the hinted side ("left" or "right"
-    of its stored a->b direction)."""
-    n = wall.direction().perp()
-    if hint == "right":
-        n = Point2(-n.x, -n.y)
-    elif hint != "left":
-        raise MissingHint(f"unknown hint {hint!r}; expected 'left' or 'right'")
-    return math.atan2(n.y, n.x)
-
-
 def hinted_wedges(
     wedges: list[tuple[float, float]],
     p: Point2,
     hint: Hint | None,
     sides: Sequence[Segment2],
 ) -> list[tuple[float, float]]:
-    """The wedges at p that a side hint keeps: those holding the hinted
-    normal of the first two-sided feature in `sides` (obstacle segments,
-    then slits) within EPS_GEOM of p.
+    """The wedges at p on the hinted side ("left" or "right" of the stored
+    a->b direction) of the first two-sided feature in `sides` (obstacle
+    segments, then slits) within EPS_GEOM of p: inside the feature, those
+    holding its hinted normal; at an end, the one beside its ray from p,
+    since where it meets a wall obliquely the normal may point outside.
 
     A hint chooses between the two faces of such a feature and is ignored
-    everywhere else: with no hint, no two-sided feature at p, or no wedge
-    holding the normal (a node whose wedges keep only those opening into
-    the region), all the wedges are kept."""
+    everywhere else: with no hint, no two-sided feature at p, or no such
+    wedge (a node whose wedges keep only those opening into the region),
+    all the wedges are kept."""
     if hint is None or not sides:
         return wedges
     A, B = point_array([s.a for s in sides]), point_array([s.b for s in sides])
     on = np.flatnonzero(_batch.point_seg_dists(np.array([p.as_tuple()]), A, B)[0] <= EPS_GEOM)
     if not on.size:
         return wedges
-    theta = _hint_angle(sides[on[0]], hint)
-    return [w for w in wedges if _in_wedge(theta, w)] or wedges
+    if hint not in ("left", "right"):
+        raise MissingHint(f"unknown hint {hint!r}; expected 'left' or 'right'")
+    wall, side = sides[on[0]], 1.0 if hint == "left" else -1.0
+    d = wall.direction()
+    for end, r in ((wall.a, 1.0), (wall.b, -1.0)):
+        if p.distance_to(end) <= EPS_GEOM:
+            # the ray leaves p along r*d; the hinted side is counterclockwise
+            # of it when side*r > 0, and its wedge then starts at the ray
+            ray, edge = math.atan2(r * d.y, r * d.x), 0.0 if side * r > 0 else 1.0
+            return [w for w in wedges if _in_wedge(ray, (w[0] + edge * w[1], 0.0))] or wedges
+    normal = math.atan2(side * d.x, -side * d.y)
+    return [w for w in wedges if _in_wedge(normal, w)] or wedges
 
 
 def inward_offsets(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -126,13 +126,7 @@ def _ray_adjacency(ray: float, wedge: tuple[float, float]) -> tuple[bool, bool]:
         return True, True
     on_start = _ang_on(ray, start)
     on_end = _ang_on(ray, start + extent)
-    if on_start and on_end:
-        return True, True
-    if on_start:
-        return True, False
-    if on_end:
-        return False, True
-    return True, True
+    return on_start or not on_end, on_end or not on_start
 
 
 def _wedges_share_interior(
@@ -153,6 +147,36 @@ def _wedges_share_interior(
                 if hi - lo > ANG_TOL:
                     return True
     return False
+
+
+def _arcs(
+    i: int,
+    wedge: tuple[float, float],
+    row: list[int],
+    positions: list[Point2],
+    node_wedges: list[list[tuple[float, float]]],
+) -> list[tuple[int, int, float]]:
+    """The edges out of state (i, wedge) in row order: (j, w2, step) for each
+    node j of the row in the wedge and each wedge w2 of j it may enter."""
+    p = positions[i]
+    out = []
+    for j in row:
+        q = positions[j]
+        theta = math.atan2(q.y - p.y, q.x - p.x)
+        if not _in_wedge(theta, wedge):
+            continue
+        left_src, right_src = _ray_adjacency(theta, wedge)
+        back = (theta + math.pi) % TWO_PI
+        step = p.distance_to(q)
+        for w2, wd in enumerate(node_wedges[j]):
+            if not _in_wedge(back, wd):
+                continue
+            # at the target the edge arrives along `back`; a wedge
+            # counterclockwise of `back` lies clockwise of `theta`
+            ccw_t, cw_t = _ray_adjacency(back, wd)
+            if (left_src and cw_t) or (right_src and ccw_t):
+                out.append((j, w2, step))
+    return out
 
 
 def circumscribed_polygon(r_min: float, m: int) -> tuple[Point2, ...]:
@@ -201,11 +225,12 @@ class PreparedScene:
     points.  A point within EPS_GEOM of base node v takes v's position and
     wedges, and its row is v's row; it is seen wherever v is.  A side hint
     keeps the face :func:`geom.hinted_wedges` gives, and is ignored where
-    no obstacle segment or slit passes through the point.  A search from
-    point i runs to the points j > i: the source's row decides its direct
-    edges, and the rows of the base nodes that a target sees gain that
-    target.  Targets are sinks, settled but never expanded, so a path never
-    passes through another query point.
+    no obstacle segment or slit passes through the point.  The rows of the
+    base nodes that a point sees gain that point.  Each (node, wedge)
+    state's edges are built once per query, so every search of the query
+    does heap work only.  A search from point i runs to the points j > i
+    and skips the others; targets are sinks, settled but never expanded,
+    so a path never passes through another query point.
 
     Region: the domain closure (the whole plane without a boundary) minus
     the open floor polygon.  Terminals must lie in it: a point outside the
@@ -426,38 +451,40 @@ class PreparedScene:
         ]
         Q = np.vstack([self._P, T])
         at_node = [(n + d, v) for d, v in enumerate(snapped) if v is not None]
-        base_row: list[list[int]] = []
-        point_row: list[list[int]] = []
+        rows: list[list[int]] = []
+        seen_by: dict[int, list[int]] = {}
         for c, row in enumerate(self._visibility(T, Q, [-1 if v is None else v for v in snapped])):
             if c in exposed:
                 # a wedge outside the region: keep the edges whose
                 # midpoints lie in it
                 row = row[self._region_mask(0.5 * (T[c] + Q[row]))]
             cut = row.searchsorted(n)
-            base_row.append(row[:cut].tolist())
+            base = row[:cut].tolist()
+            for v in base:
+                seen_by.setdefault(v, []).append(n + c)
             # the through-node test rejects a point at a base node, which is
             # seen wherever its node is
-            seen = set(base_row[c])
-            point_row.append(sorted(row[cut:].tolist() + [t for t, v in at_node if v in seen]))
+            seen = set(base)
+            rows.append(base + sorted(row[cut:].tolist() + [t for t, v in at_node if v in seen]))
+        cache: dict[tuple[int, int], list[tuple[int, int, float]]] = {}
+
+        def arcs(i: int, w: int) -> list[tuple[int, int, float]]:
+            if (i, w) not in cache:
+                row = self._vis_row(i) + seen_by.get(i, []) if i < n else rows[i - n]
+                cache[i, w] = _arcs(i, node_wedges[i][w], row, positions, node_wedges)
+            return cache[i, w]
 
         for i in range(k - 1):
-            src = n + i
-            targets: list[int] = []
+            targets: set[int] = set()
             for j in range(i + 1, k):
                 # two points coincide when their sides overlap
                 if points[i].distance_to(points[j]) <= EPS_GEOM and _wedges_share_interior(
-                    node_wedges[src], node_wedges[n + j]
+                    node_wedges[n + i], node_wedges[n + j]
                 ):
                     out[i][j] = PathResult(True, 0.0, Polyline((points[i],)))
                 else:
-                    targets.append(n + j)
-            seen_by: dict[int, list[int]] = {}
-            for t in targets:
-                for v in base_row[t - n]:
-                    seen_by.setdefault(v, []).append(t)
-            goal = set(targets)
-            rows = {src: base_row[i] + [t for t in point_row[i] if t in goal]}
-            for t, found in self._search(src, goal, positions, node_wedges, rows, seen_by).items():
+                    targets.add(n + j)
+            for t, found in self._search(n + i, targets, positions, node_wedges, arcs).items():
                 out[i][t - n] = found
         return out
 
@@ -467,27 +494,16 @@ class PreparedScene:
         targets: set[int],
         positions: list[Point2],
         node_wedges: list[list[tuple[float, float]]],
-        rows: dict[int, list[int]],
-        seen_by: dict[int, list[int]],
+        arcs: Callable[[int, int], list[tuple[int, int, float]]],
     ) -> dict[int, PathResult]:
         """Dijkstra over (node, wedge) states from node src until every
-        target node is settled.  Targets are never expanded; a base node's
-        neighbours are its row plus the targets that see it."""
+        target node is settled.  ``arcs(i, w)`` gives a state's edges, built
+        once per query, so the loop does heap work only; it skips the query
+        nodes it does not target, and never expands a target."""
         n = self._n
-
-        def neighbours(i: int) -> list[int]:
-            row = rows.get(i)
-            if row is None:
-                row = rows[i] = self._vis_row(i) + seen_by.get(i, [])
-            return row
-
-        dist: dict[tuple[int, int], float] = {}
-        parent: dict[tuple[int, int], tuple[int, int] | None] = {}
-        heap: list[tuple[float, int, int]] = []
-        for w_idx in range(len(node_wedges[src])):
-            dist[(src, w_idx)] = 0.0
-            parent[(src, w_idx)] = None
-            heapq.heappush(heap, (0.0, src, w_idx))
+        heap = [(0.0, src, w) for w in range(len(node_wedges[src]))]
+        dist: dict[tuple[int, int], float] = {(src, w): 0.0 for _, _, w in heap}
+        parent: dict[tuple[int, int], tuple[int, int] | None] = dict.fromkeys(dist)
 
         found: dict[int, tuple[int, int]] = {}
         while heap and targets:
@@ -500,32 +516,15 @@ class PreparedScene:
                     break
             if idx >= n and idx != src:
                 continue
-            p = positions[idx]
-            wedge = node_wedges[idx][w_idx]
-            for j in neighbours(idx):
-                if j == idx:
+            for j, w2, step in arcs(idx, w_idx):
+                if j >= n and j not in targets:
                     continue
-                q = positions[j]
-                theta = math.atan2(q.y - p.y, q.x - p.x)
-                if not _in_wedge(theta, wedge):
-                    continue
-                left_src, right_src = _ray_adjacency(theta, wedge)
-                back = (theta + math.pi) % TWO_PI
-                step = p.distance_to(q)
-                for w2, wd in enumerate(node_wedges[j]):
-                    if not _in_wedge(back, wd):
-                        continue
-                    # at the target the edge arrives along `back`; a wedge
-                    # counterclockwise of `back` lies clockwise of `theta`
-                    ccw_t, cw_t = _ray_adjacency(back, wd)
-                    if not ((left_src and cw_t) or (right_src and ccw_t)):
-                        continue
-                    nd = d + step
-                    key2 = (j, w2)
-                    if nd < dist.get(key2, math.inf):
-                        dist[key2] = nd
-                        parent[key2] = (idx, w_idx)
-                        heapq.heappush(heap, (nd, j, w2))
+                nd = d + step
+                key2 = (j, w2)
+                if nd < dist.get(key2, math.inf):
+                    dist[key2] = nd
+                    parent[key2] = (idx, w_idx)
+                    heapq.heappush(heap, (nd, j, w2))
 
         results = {t: PathResult(False, math.inf, None) for t in targets}
         for t, key in found.items():

@@ -1,6 +1,7 @@
 """Scalar references for the array code of the package: the kernels of
-:mod:`relmetric._batch`, the strips' corner detour ratio and the boundary
-profile's sampling and gap rounds.
+:mod:`relmetric._batch`, the strips' corner detour ratio, the boundary
+profile's sampling and gap rounds, and the shortest-path table with its
+edges rebuilt on every relaxation.
 
 The package evaluates every predicate with array kernels; these one-at-a-time
 versions are kept for the tests to compare against.  The orientation
@@ -8,6 +9,7 @@ tolerance is absolute on twice the signed area, as in the kernels.
 """
 from __future__ import annotations
 
+import heapq
 import math
 from typing import Sequence
 
@@ -15,17 +17,27 @@ import numpy as np
 
 from relmetric.geom import (
     EPS_GEOM,
+    TWO_PI,
     PlanarDomain,
     Point2,
+    Polyline,
     Segment2,
+    _in_wedge,
     blocked_rays,
     domain_arrays,
+    hinted_wedges,
     wedges_from_rays,
 )
 from relmetric.constructions import Trapezium
 from relmetric.errors import ProfileUnconverged
 from relmetric.metric import _engine
 from relmetric.rigidity import BoundaryProfile
+from relmetric.visibility import (
+    PathResult,
+    PreparedScene,
+    _ray_adjacency,
+    _wedges_share_interior,
+)
 
 
 def orientation(p: Point2, q: Point2, r: Point2, eps: float = EPS_GEOM) -> int:
@@ -205,3 +217,121 @@ def boundary_profile(domain: PlanarDomain, m: int) -> BoundaryProfile:
         for j in range(i + 1, m):
             M[i, j] = M[j, i] = paths[i][j].length
     return BoundaryProfile(tuple(samples), M)
+
+
+def shortest_paths(
+    engine: PreparedScene, points: Sequence[Point2], hints: Sequence[str | None] | None = None
+) -> list[list[PathResult | None]]:
+    """``engine.shortest_paths`` for valid points, with the per-search rows
+    and the edge geometry (angles, wedge tests, step lengths) recomputed at
+    every relaxation of every search."""
+    k, n = len(points), engine._n
+    out: list[list[PathResult | None]] = [[None] * k for _ in range(k)]
+    hints = [None] * k if hints is None else hints
+    T = np.array([t.as_tuple() for t in points])
+    snapped = [engine._snap(t) for t in points]
+    off = [c for c in range(k) if snapped[c] is None]
+    rays = dict(zip(off, blocked_rays(T[off], engine._FA, engine._FB, engine._angles)))
+    node_wedges = engine._node_wedges + [[] for _ in range(k)]
+    exposed = set()
+    for c, v in enumerate(snapped):
+        if v is None:
+            wedges, in_region = engine._terminal_wedges(points[c], *rays[c], hints[c], "ab"[c > 0])
+            node_wedges[n + c] = wedges
+            if not in_region:
+                exposed.add(c)
+        else:
+            T[c] = engine._P[v]
+            node_wedges[n + c] = hinted_wedges(engine._node_wedges[v], points[c], hints[c], engine._sides)
+    positions = engine.base_points + [
+        p if v is None else engine.base_points[v] for p, v in zip(points, snapped)
+    ]
+    Q = np.vstack([engine._P, T])
+    at_node = [(n + d, v) for d, v in enumerate(snapped) if v is not None]
+    base_row, point_row = [], []
+    for c, row in enumerate(engine._visibility(T, Q, [-1 if v is None else v for v in snapped])):
+        if c in exposed:
+            row = row[engine._region_mask(0.5 * (T[c] + Q[row]))]
+        cut = row.searchsorted(n)
+        base_row.append(row[:cut].tolist())
+        seen = set(base_row[c])
+        point_row.append(sorted(row[cut:].tolist() + [t for t, v in at_node if v in seen]))
+
+    for i in range(k - 1):
+        src = n + i
+        targets = []
+        for j in range(i + 1, k):
+            if points[i].distance_to(points[j]) <= EPS_GEOM and _wedges_share_interior(
+                node_wedges[src], node_wedges[n + j]
+            ):
+                out[i][j] = PathResult(True, 0.0, Polyline((points[i],)))
+            else:
+                targets.append(n + j)
+        seen_by: dict[int, list[int]] = {}
+        for t in targets:
+            for v in base_row[t - n]:
+                seen_by.setdefault(v, []).append(t)
+        goal = set(targets)
+        rows = {src: base_row[i] + [t for t in point_row[i] if t in goal]}
+        for t, found in _search(engine, src, goal, positions, node_wedges, rows, seen_by).items():
+            out[i][t - n] = found
+    return out
+
+
+def _search(engine, src, targets, positions, node_wedges, rows, seen_by):
+    """Dijkstra over (node, wedge) states, relaxing each edge from the
+    positions and wedges on every expansion."""
+    n = engine._n
+    dist = {(src, w): 0.0 for w in range(len(node_wedges[src]))}
+    parent = {key: None for key in dist}
+    heap = [(0.0, src, w) for w in range(len(node_wedges[src]))]
+    found = {}
+    while heap and targets:
+        d, idx, w_idx = heapq.heappop(heap)
+        if d > dist.get((idx, w_idx), math.inf):
+            continue
+        if idx in targets and idx not in found:
+            found[idx] = (idx, w_idx)
+            if len(found) == len(targets):
+                break
+        if idx >= n and idx != src:
+            continue
+        if idx not in rows:
+            rows[idx] = engine._vis_row(idx) + seen_by.get(idx, [])
+        p = positions[idx]
+        wedge = node_wedges[idx][w_idx]
+        for j in rows[idx]:
+            if j == idx:
+                continue
+            q = positions[j]
+            theta = math.atan2(q.y - p.y, q.x - p.x)
+            if not _in_wedge(theta, wedge):
+                continue
+            left_src, right_src = _ray_adjacency(theta, wedge)
+            back = (theta + math.pi) % TWO_PI
+            step = p.distance_to(q)
+            for w2, wd in enumerate(node_wedges[j]):
+                if not _in_wedge(back, wd):
+                    continue
+                ccw_t, cw_t = _ray_adjacency(back, wd)
+                if not ((left_src and cw_t) or (right_src and ccw_t)):
+                    continue
+                nd = d + step
+                if nd < dist.get((j, w2), math.inf):
+                    dist[(j, w2)] = nd
+                    parent[(j, w2)] = (idx, w_idx)
+                    heapq.heappush(heap, (nd, j, w2))
+
+    results = {t: PathResult(False, math.inf, None) for t in targets}
+    for t, key in found.items():
+        chain = []
+        while key is not None:
+            chain.append(positions[key[0]])
+            key = parent[key]
+        verts = [chain[-1]]
+        for p in reversed(chain[:-1]):
+            if p.distance_to(verts[-1]) > EPS_GEOM:
+                verts.append(p)
+        poly = Polyline(tuple(verts))
+        results[t] = PathResult(True, poly.length(), poly)
+    return results

@@ -146,8 +146,15 @@ ELL = (P(0, 0), P(2, 0), P(2, 1), P(1, 1), P(1, 2), P(0, 2))
         ),
         (UNIT.outer, [], P(0, 0.5), [P(0.5, 0.5)]),
         (ELL, [], P(1.5, 1), [P(0.5, 0.5), P(1, 1.5)]),
+        (UNIT.outer, [(P(0, 0.5), P(0.5, 0.8))], P(0, 0.5), [P(0.2, 0.8), P(0.2, 0.3), P(0.7, 0.9)]),
     ],
-    ids=["slit-wall junction", "slit-slit joint", "one-sided wall", "wall at an inner corner"],
+    ids=[
+        "slit-wall junction",
+        "slit-slit joint",
+        "one-sided wall",
+        "wall at an inner corner",
+        "oblique slit-wall junction",
+    ],
 )
 def test_hint_at_a_junction_selects_its_face(outer, slits, x, ys):
     # the closure evaluation, from either end, takes the hinted face as the
@@ -159,6 +166,16 @@ def test_hint_at_a_junction_selects_its_face(outer, slits, x, ys):
             value = rho(dom, x, y, hint_x=hint).value
             assert abs(closure_distance(dom, x, y, hint_x=hint).length - value) <= 1e-6
             assert abs(closure_distance(dom, y, x, hint_y=hint).length - value) <= 1e-6
+
+
+def test_hint_at_an_oblique_junction_takes_the_face_beside_the_slit():
+    # the slit leaves the wall at 31 degrees, so its left normal points out
+    # of the square; `left` is the face between the slit and the wall above
+    dom = PlanarDomain(UNIT.outer, slits=(Segment2(P(0, 0.5), P(0.5, 0.8)),))
+    x, y = P(0, 0.5), P(0.2, 0.8)
+    for hint, want in ((None, math.sqrt(0.13)), ("left", math.sqrt(0.13)), ("right", 0.88309519)):
+        assert rho(dom, x, y, hint_x=hint).value == pytest.approx(want, abs=1e-6)
+        assert closure_distance(dom, x, y, hint_x=hint).length == pytest.approx(want, abs=1e-8)
 
 
 def test_outside_point_rejected():
