@@ -5,6 +5,8 @@ strips disjointness distances.
 
 The orientation tolerance is absolute on twice the signed area.  Every
 point-segment distance goes through one elementwise kernel, ``_pseg``.  The
+crossing kernel broadcasts its segments, so the visibility filter runs it
+on a block of sources against all candidates, then on survivor pairs.  The
 scalar predicates that tests compare these kernels against live in the
 test suite (``tests/_reference.py``).
 """
@@ -36,18 +38,14 @@ def _stack4(A, B, C, D):
 
 
 def cross_matrix(p: np.ndarray, Q: np.ndarray, FA: np.ndarray, FB: np.ndarray, eps: float) -> np.ndarray:
-    """Proper-crossing mask of segments p->Q[j] against features (FA[i], FB[i]).
-
-    One source p (2,) gives a bool array (len(Q), len(FA)); a block of
-    sources (s, 2) gives (s, len(Q), len(FA)).
+    """Proper-crossing mask of segments p->Q against features (FA[f], FB[f]):
+    bool (..., len(FA)), with p and Q (..., 2) broadcast over their leading
+    axes.  A block of sources B[:, None] against candidates Q gives (s,
+    len(Q), len(FA)); paired arrays B[si], Q[cj] give one row per pair.
     """
-    px, py = p[..., 0, None, None], p[..., 1, None, None]
-    qx = Q[:, 0][:, None]
-    qy = Q[:, 1][:, None]
-    ax = FA[:, 0][None, :]
-    ay = FA[:, 1][None, :]
-    bx = FB[:, 0][None, :]
-    by = FB[:, 1][None, :]
+    px, py = p[..., 0, None], p[..., 1, None]
+    qx, qy = Q[..., 0, None], Q[..., 1, None]
+    ax, ay, bx, by = FA[:, 0], FA[:, 1], FB[:, 0], FB[:, 1]
     o1 = _osign(px, py, qx, qy, ax, ay, eps)
     o2 = _osign(px, py, qx, qy, bx, by, eps)
     o3 = _osign(ax, ay, bx, by, px, py, eps)

@@ -39,6 +39,9 @@ PROBE_DELTA = 1e-7
 # (source, candidate, feature) triples per crossing-filter block, 32 KiB per
 # float temporary; when all base rows fit in one block they are computed at once
 _ROW_BLOCK = 1 << 12
+# features in the crossing filter's first chunk; each later chunk is twice as
+# wide and tests only the pairs that no earlier chunk blocked
+_CROSS_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -239,13 +242,14 @@ class PreparedScene:
     into the region, and an edge leaves a node only inside its wedge.
 
     A visibility row is two filters, the more selective first: candidate
-    edges that properly cross a feature are rejected, and only the
-    survivors are tested for passing through another base node (the path
-    must decompose there instead).  An edge that survives both stays in
-    one face of the features, the face its wedge opens into, so no region
-    test is needed.  A terminal with a wedge outside the region (its hint
-    chose that side, or it has no side in the region) keeps its edges only
-    where their midpoints lie in the region.
+    edges that properly cross a feature are rejected, feature chunk by
+    feature chunk on the edges still unblocked, and only the survivors are
+    tested for passing through another base node (the path must decompose
+    there instead).  An edge that survives both stays in one face of the
+    features, the face its wedge opens into, so no region test is needed.
+    A terminal with a wedge outside the region (its hint chose that side,
+    or it has no side in the region) keeps its edges only where their
+    midpoints lie in the region.
     """
 
     def __init__(
@@ -336,21 +340,32 @@ class PreparedScene:
         The sources go in chunks of at most ``_ROW_BLOCK`` (source, candidate,
         feature) triples.  Two filters, the more selective first: the segment
         S[r]->Q[j] must properly cross no feature, and only the surviving
-        pairs are tested for passing through a base node."""
+        pairs are tested for passing through a base node.  The crossing filter
+        tests the first ``_CROSS_CHUNK`` features on the whole block, then each
+        later chunk, twice as wide as the one before, only on the pairs that no
+        earlier chunk blocked."""
         skip = np.asarray(skip, dtype=np.intp)
-        step = max(1, _ROW_BLOCK // max(1, len(Q) * len(self._FA)))
+        FA, FB, c = self._FA, self._FB, _CROSS_CHUNK
+        step = max(1, _ROW_BLOCK // max(1, len(Q) * len(FA)))
         rows = []
         for lo in range(0, len(S), step):
             B, at = S[lo : lo + step], skip[lo : lo + step]
             ok = np.linalg.norm(Q[None] - B[:, None], axis=2) > EPS_GEOM
             ok[at >= 0, at[at >= 0]] = False
-            ok &= ~_batch.cross_matrix(B, Q, self._FA, self._FB, EPS_GEOM).any(axis=2)
+            ok &= ~_batch.cross_matrix(B[:, None], Q, FA[:c], FB[:c], EPS_GEOM).any(axis=2)
             si, cj = np.nonzero(ok)
+            f, width = c, 2 * c
+            while si.size and f < len(FA):
+                g = slice(f, f + width)
+                free = ~_batch.cross_matrix(B[si], Q[cj], FA[g], FB[g], EPS_GEOM).any(axis=1)
+                si, cj = si[free], cj[free]
+                f, width = f + width, 2 * width
             near = _batch.seg_point_dists(B[si], Q[cj], self._P) <= EPS_GEOM
             # a base-node candidate and the source's node end the segment
             pair, at = np.arange(len(si)), at[si]
             near[pair[cj < self._n], cj[cj < self._n]] = False
             near[pair[at >= 0], at[at >= 0]] = False
+            ok[:] = False
             ok[si, cj] = ~near.any(axis=1)
             rows += [np.flatnonzero(r) for r in ok]
         return rows

@@ -127,13 +127,20 @@ def test_distance_kernels_match_the_scalar_references(points, segs):
     want = [[point_segment_distance(n, pts[a], pts[b]) for n in pts] for a, b in zip(r, c)]
     assert np.allclose(_batch.seg_point_dists(P[r], P[c], P), want, rtol=0.0, atol=1e-12)
     # crossing mask for a block of sources, every point to every point
-    block = _batch.cross_matrix(P, P, A, B, EPS_GEOM)
+    block = _batch.cross_matrix(P[:, None], P, A, B, EPS_GEOM)
     assert block.shape == (len(pts), len(pts), len(segs))
     for a, p in enumerate(pts):
         assert (block[a] == _batch.cross_matrix(P[a], P, A, B, EPS_GEOM)).all()
         for b, q in enumerate(pts):
             if p.distance_to(q) > EPS_GEOM:
                 assert block[a, b].tolist() == [properly_cross(Segment2(p, q), s) for s in segs]
+    # the paired form: one row per (source, candidate) pair
+    pairs = _batch.cross_matrix(P[r], P[c], A, B, EPS_GEOM)
+    assert pairs.shape == (len(r), len(segs))
+    assert (pairs == block[r, c]).all()
+    for k, (a, b) in enumerate(zip(r, c)):
+        if pts[a].distance_to(pts[b]) > EPS_GEOM:
+            assert pairs[k].tolist() == [properly_cross(Segment2(pts[a], pts[b]), s) for s in segs]
     # every ordered pair of segments; the kernel's orientation test is exact
     i, j = np.indices((len(segs), len(segs))).reshape(2, -1)
     got = _batch.seg_pair_dists(A[i], B[i], A[j], B[j])

@@ -10,7 +10,9 @@ The engine also tests the wedges of all its split nodes with one region
 mask; a reference that masks node by node must find the same wedges.
 
 Rows are computed for a block of sources at once; each must equal the row
-of its source computed alone, whatever the block budget.
+of its source computed alone, whatever the block budget.  The crossing
+filter tests features in chunks, each on the pairs still unblocked; rows
+and paths must not depend on the chunk width.
 """
 import math
 import random
@@ -266,3 +268,41 @@ def test_block_rows_equal_single_source_rows(monkeypatch):
             if floor is None and n < 20:
                 got = _keys(engine.shortest_paths(points))
                 assert got == paths.setdefault("want", got)
+
+
+def _chunk_case(name):
+    """Scenes with more features than the crossing filter's first chunk:
+    the floor-confined family, whose floor edges are its last features,
+    and a depth-16 comb."""
+    if name == "family":
+        points = [LEG_A.scaled(2.0), LEG_D.scaled(2.0), P(2.5, 0.3), P(1.6, 0.4)]
+        for th in (0.2 * WEDGE_ANGLE, 0.5 * WEDGE_ANGLE, 0.9 * WEDGE_ANGLE):
+            r = _floor_radius_at(th, 1.0, 64)
+            points.append(P(r * math.cos(th), r * math.sin(th)))
+        return clipped_family_scene((1, 2)), circumscribed_polygon(1.0, 64), points
+    domain = comb_domain(CombSpec(depth=16))
+    return ObstacleScene.from_domain(domain), None, boundary_arc_points(domain, 12) + [P(0.9, 1.2), P(0.3, 0.35)]
+
+
+@pytest.mark.parametrize("name", ["family", "comb"])
+def test_crossing_chunk_width_changes_nothing(monkeypatch, name):
+    scene, floor, points = _chunk_case(name)
+    paths = _keys(MaskedScene(scene, floor=floor).shortest_paths(points))
+    want = None
+    # one chunk holding every feature (the single-pass row) first, then
+    # widths that leave a partial last chunk
+    for chunk in (1 << 20, 1, 7, visibility._CROSS_CHUNK):
+        monkeypatch.setattr(visibility, "_CROSS_CHUNK", chunk)
+        engine = PreparedScene(scene, floor=floor)
+        assert len(engine._FA) > 64
+        n = engine._n
+        rows = [r.tolist() for r in engine._visibility(engine._P, engine._P, np.arange(n))]
+        # the points, the first two at base nodes 0 and 1
+        T = np.vstack([engine._P[:2], point_array(points)])
+        Q, at = np.vstack([engine._P, T]), [0, 1] + [-1] * len(points)
+        rows += [r.tolist() for r in engine._visibility(T, Q, at)]
+        want = rows if want is None else want
+        assert rows == want
+        got = _keys(engine.shortest_paths(points))
+        assert got == paths
+        assert any(reached for reached, _, _ in got.values())
