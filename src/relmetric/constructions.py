@@ -233,18 +233,21 @@ def verify_length_bound(
     (the tolerance absorbs the polygonal floor); an unreachable pair counts
     as infinite length and passes trivially.  Without obstacles the same
     confinement is cheap to cross, which the caller can use as a control.
+    A route that leaves the confinement fails :func:`verify_pigeonhole`.
     """
     J = spec.levels
     if not 1 <= J <= 4:
         raise SpecInvalid(f"length bound defined for levels 1..4, got {J}")
     levels = range(1, J + 1) if include_obstacles else ()
-    length = confined_route(levels, 4.0 * 2.0**-J).length
-    if include_obstacles and length < 6.0 * (1.0 - tol_floor):
+    route = confined_route(levels, 4.0 * 2.0**-J)
+    if route.reached:
+        verify_pigeonhole(route.path, J)
+    if include_obstacles and route.length < 6.0 * (1.0 - tol_floor):
         raise GeometryError(
-            f"confined length {length} at J={J} fell below the bound "
+            f"confined length {route.length} at J={J} fell below the bound "
             f"{6.0 * (1.0 - tol_floor)}"
         )
-    return J, length
+    return J, route.length
 
 
 def confined_route(

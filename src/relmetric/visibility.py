@@ -32,6 +32,7 @@ from .geom import (
     feature_arrays,
     hinted_wedges,
     point_array,
+    polygon_edges,
     wedges_from_rays,
 )
 
@@ -90,11 +91,6 @@ class ObstacleScene:
     @classmethod
     def from_domain(cls, domain: PlanarDomain) -> "ObstacleScene":
         return cls(segments=(), boundary=domain)
-
-    def all_features(self) -> tuple[Segment2, ...]:
-        if self.boundary is None:
-            return self.segments
-        return self.segments + self.boundary.boundary_features()
 
 
 @dataclass(frozen=True)
@@ -238,15 +234,17 @@ class PreparedScene:
     Region: the domain closure (the whole plane without a boundary) minus
     the open floor polygon.  Terminals must lie in it: a point outside the
     closure raises SceneInvalid, one strictly inside the floor raises
-    TerminalInsideFloor.  Base-node copies keep only the wedges that open
-    into the region, and an edge leaves a node only inside its wedge.
+    TerminalInsideFloor.  Every base node, split or not, keeps only the
+    wedges whose bisector probe, PROBE_DELTA out, lies in the region: a ray
+    tip just inside a floor edge, whose one wedge opens into the floor,
+    keeps none.  An edge leaves a node only inside its wedge.
 
     A visibility row is two filters, the more selective first: candidate
     edges that properly cross a feature are rejected, feature chunk by
     feature chunk on the edges still unblocked, and only the survivors are
     tested for passing through another base node (the path must decompose
     there instead).  An edge that survives both stays in one face of the
-    features, the face its wedge opens into, so no region test is needed.
+    features, the face its wedge opens into, so rows need no region test.
     A terminal with a wedge outside the region (its hint chose that side,
     or it has no side in the region) keeps its edges only where their
     midpoints lie in the region.
@@ -259,12 +257,9 @@ class PreparedScene:
     ) -> None:
         self.scene = scene
         self.floor = floor
-        feats = list(scene.all_features())
-        n_walls = len(feats)
-        if floor is not None:
-            fv = list(floor)
-            feats.extend(Segment2(fv[i], fv[(i + 1) % len(fv)]) for i in range(len(fv)))
-        self.features: tuple[Segment2, ...] = tuple(feats)
+        walls = () if scene.boundary is None else scene.boundary.boundary_features()
+        rim = () if floor is None else tuple(polygon_edges(floor))
+        self.features: tuple[Segment2, ...] = scene.segments + walls + rim
         self.base_points = list(dict.fromkeys(p for f in self.features for p in (f.a, f.b)))
         self._pos_index = {p: i for i, p in enumerate(self.base_points)}
         self._n = len(self.base_points)
@@ -272,33 +267,28 @@ class PreparedScene:
         # the two-sided features, whose side a hint chooses
         self._sides = scene.segments + (() if scene.boundary is None else scene.boundary.slits)
         self._P = point_array(self.base_points)
-        # region-mask inputs; the floor edges follow the scene's own features,
-        # and their starts are the floor polygon
-        self._rings = None if scene.boundary is None else domain_arrays(scene.boundary)[3:]
-        self._walls = slice(0, n_walls)
-        self._floor_edges = slice(n_walls, len(feats))
-        self._node_wedges = [
-            wedges_from_rays(rays) for rays, _ in blocked_rays(self._P, self._FA, self._FB, self._angles)
-        ]
-        split = [i for i, wedges in enumerate(self._node_wedges) if len(wedges) > 1]
-        viable = self._viable_wedges(self._P[split], [self._node_wedges[i] for i in split])
-        for i, wedges in zip(split, viable):
-            self._node_wedges[i] = wedges
+        # region-mask inputs: the domain's own arrays, and the floor edges,
+        # the last features, whose starts are the floor polygon
+        self._domain = None if scene.boundary is None else domain_arrays(scene.boundary)
+        self._floor_edges = slice(len(self.features) - len(rim), None)
+        wedges = [wedges_from_rays(rays) for rays, _ in blocked_rays(self._P, self._FA, self._FB, self._angles)]
+        self._node_wedges = self._viable_wedges(self._P, wedges)
         self._nbrs: dict[int, list[int]] = {}
 
     # -- static structure --------------------------------------------------
 
     def _closure_mask(self, pts: np.ndarray) -> np.ndarray:
-        """Which of the points lie in the domain closure (wall contact
-        allowed)."""
-        w = self._walls
-        on_b, inside = _batch.closure_parts(pts, *self._rings, self._FA[w], self._FB[w], EPS_GEOM)
+        """Which of the points lie in the domain closure, as :func:`geom.contains`
+        decides: inside, or within EPS_GEOM of a wall or slit of the domain
+        (obstacle segments lie in the closure, so they decide nothing)."""
+        FA, FB, _, outer, holes = self._domain
+        on_b, inside = _batch.closure_parts(pts, outer, holes, FA, FB, EPS_GEOM)
         return on_b | inside
 
     def _region_mask(self, pts: np.ndarray) -> np.ndarray:
         """Which of the points may lie on a path: inside the domain closure
         and not strictly inside the floor polygon."""
-        ok = np.ones(len(pts), dtype=bool) if self._rings is None else self._closure_mask(pts)
+        ok = np.ones(len(pts), dtype=bool) if self._domain is None else self._closure_mask(pts)
         if self.floor is not None:
             fa, fb = self._FA[self._floor_edges], self._FB[self._floor_edges]
             on_floor, in_floor = _batch.closure_parts(pts, fa, (), fa, fb, EPS_GEOM)
@@ -312,7 +302,7 @@ class PreparedScene:
         lies in the allowed region (not the solid side of a wall, not the
         inside of the floor polygon), tested with one region mask over a
         probe on every wedge's bisector.  Without this, a path could ride a
-        wall straight through a slit junction."""
+        wall through a slit junction, or leave a node inside the floor."""
         mids = np.array([w[0] + 0.5 * w[1] for wedges in wedge_lists for w in wedges])
         owner = np.repeat(np.arange(len(wedge_lists)), [len(wedges) for wedges in wedge_lists])
         probes = np.stack(
@@ -430,7 +420,7 @@ class PreparedScene:
         hints = [None] * k if hints is None else hints
         n = self._n
         T = np.array([t.as_tuple() for t in points])
-        inside = [True] * k if self._rings is None else self._closure_mask(T).tolist()
+        inside = [True] * k if self._domain is None else self._closure_mask(T).tolist()
         clear = [True] * k if self.floor is None else self._region_mask(T).tolist()
         snapped = [self._snap(t) for t in points]
         off = [c for c in range(k) if snapped[c] is None]

@@ -5,6 +5,8 @@ import math
 
 import pytest
 
+from relmetric import constructions
+from relmetric.cli import EXIT_VIOLATION, main
 from relmetric.errors import (
     OutsideCone,
     PathNotConfined,
@@ -42,6 +44,7 @@ from relmetric.constructions import (
     verify_pigeonhole,
     wedge_triangle,
 )
+from relmetric.visibility import PathResult
 from _reference import max_corner_detour_ratio as scalar_detour_ratio
 from _reference import point_segment_distance, segment_segment_distance
 
@@ -131,6 +134,23 @@ def test_length_bound_control_is_cheap():
     # bare rim wrap between the legs, slightly above the exact arc pi/6
     assert control == pytest.approx(0.5236248333455773, abs=1e-12)
     assert control < 2.1
+
+
+def test_length_bound_rejects_a_route_through_the_floor(monkeypatch, capsys):
+    # long enough for the bound at J = 2, but its chord between two rim
+    # points cuts through the floor of radius 1
+    def polar(r, th):
+        return P(r * math.cos(th), r * math.sin(th))
+
+    path = Polyline((LEG_A, polar(3.9, 0.05), polar(1.0, 0.02), polar(1.0, WEDGE_ANGLE - 0.02), LEG_D))
+    assert path.length() > 5.94
+    monkeypatch.setattr(constructions, "confined_route", lambda levels, r_min: PathResult(True, path.length(), path))
+    with pytest.raises(PathNotConfined, match="dips below the inner radius"):
+        verify_length_bound(SegmentFamilySpec(2))
+    assert main(["repro", "bound", "--levels", "2"]) == EXIT_VIOLATION
+    out = capsys.readouterr().out
+    assert "bound violated: a path segment dips below the inner radius" in out
+    assert out.endswith("verdict FAIL\n")
 
 
 def test_confined_route_partial_levels_reaches():

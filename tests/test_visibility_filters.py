@@ -6,8 +6,9 @@ engine's row drops the mask (wedge gating keeps paths in the region) and
 tests passing through a node only on the candidates that cross nothing.
 Every pair must come out equal: reached, length and path vertices.
 
-The engine also tests the wedges of all its split nodes with one region
-mask; a reference that masks node by node must find the same wedges.
+The engine also tests the wedges of all its nodes with one region mask;
+a reference that masks node by node must find the same wedges, and the
+engine's closure test must classify points as ``geom.contains`` does.
 
 Rows are computed for a block of sources at once; each must equal the row
 of its source computed alone, whatever the block budget.  The crossing
@@ -32,7 +33,7 @@ from relmetric.constructions import (
     random_slit_domain,
     spiral_labyrinth,
 )
-from relmetric.errors import TerminalInsideFloor
+from relmetric.errors import SceneInvalid, TerminalInsideFloor
 from relmetric.geom import (
     EPS_GEOM,
     PlanarDomain,
@@ -193,19 +194,19 @@ def test_terminal_inside_the_floor_raises():
 
 
 def _per_node_wedges(engine):
-    """The engine's node wedges with one region mask per split node, and
-    the number of wedges the masks dropped."""
-    out, dropped = [], 0
+    """The engine's node wedges with one region mask per node, the number
+    of wedges the masks dropped, and the number of unsplit nodes that lost
+    their one wedge."""
+    out, dropped, lone = [], 0, 0
     for p, (rays, _) in zip(engine.base_points, blocked_rays(engine._P, engine._FA, engine._FB, engine._angles)):
         wedges = wedges_from_rays(rays)
-        if len(wedges) > 1:
-            mids = np.array([w[0] + 0.5 * w[1] for w in wedges])
-            probes = np.stack([p.x + PROBE_DELTA * np.cos(mids), p.y + PROBE_DELTA * np.sin(mids)], axis=1)
-            kept = [w for w, ok in zip(wedges, engine._region_mask(probes).tolist()) if ok]
-            dropped += len(wedges) - len(kept)
-            wedges = kept
-        out.append(wedges)
-    return out, dropped
+        mids = np.array([w[0] + 0.5 * w[1] for w in wedges])
+        probes = np.stack([p.x + PROBE_DELTA * np.cos(mids), p.y + PROBE_DELTA * np.sin(mids)], axis=1)
+        kept = [w for w, ok in zip(wedges, engine._region_mask(probes).tolist()) if ok]
+        dropped += len(wedges) - len(kept)
+        lone += len(wedges) == 1 and not kept
+        out.append(kept)
+    return out, dropped, lone
 
 
 def test_node_wedges_match_the_per_node_mask():
@@ -216,12 +217,38 @@ def test_node_wedges_match_the_per_node_mask():
     ]
     engines += [PreparedScene(ObstacleScene.from_domain(comb_domain(CombSpec(depth=d)))) for d in (4, 8, 16)]
     engines += [PreparedScene(ObstacleScene.from_domain(random_slit_domain(seed, 4))) for seed in range(10)]
-    dropped = 0
-    for engine in engines:
-        want, n = _per_node_wedges(engine)
+    dropped = lone = 0
+    for k, engine in enumerate(engines):
+        want, n, unsplit = _per_node_wedges(engine)
         assert engine._node_wedges == want
         dropped += n
+        # the family engines come first; their floors hold ray tips
+        lone += unsplit if k < 9 else 0
     assert dropped > 0
+    assert lone > 0
+
+
+def _polar(r, th):
+    return P(r * math.cos(th), r * math.sin(th))
+
+
+def test_ray_tip_just_inside_the_floor_keeps_no_wedge():
+    # two rays whose inner tips lie 5e-8 inside edges of a 256-gon floor:
+    # a tip strictly inside keeps no wedge, so the route between the two
+    # points rides the rim exactly as without the rays, never through the
+    # floor from tip to tip; tips on the rim are split by the floor edge
+    # and keep the two wedges beside their ray
+    floor = circumscribed_polygon(0.25, 256)
+    a, b = _polar(0.26, 0.005), _polar(0.26, math.pi - 0.004)
+    want = PreparedScene(ObstacleScene(), floor=floor).shortest_path(a, b)
+    assert want.length == pytest.approx(0.786886, abs=1e-6)
+    for inset, kept in ((5e-8, 0), (0.0, 2)):
+        tips = [_polar((0.25 - inset) / math.cos(0.001), phi + 0.001) for phi in (0.0, math.pi)]
+        rays = tuple(Segment2(t, _polar(1.0, phi + 0.001)) for t, phi in zip(tips, (0.0, math.pi)))
+        engine = PreparedScene(ObstacleScene(rays), floor=floor)
+        assert [len(engine._node_wedges[engine._pos_index[t]]) for t in tips] == [kept, kept]
+        got = engine.shortest_path(a, b)
+        assert (got.length, got.path.vertices) == (want.length, want.path.vertices)
 
 
 def _row_cases():
@@ -306,3 +333,69 @@ def test_crossing_chunk_width_changes_nothing(monkeypatch, name):
         got = _keys(engine.shortest_paths(points))
         assert got == paths
         assert any(reached for reached, _, _ in got.values())
+
+
+def _obstacles_in(domain, rng):
+    """Seeded segments inside the domain, and segments from its interior to
+    0.5 EPS_GEOM beyond the middle of an outer wall, which validation lets
+    pass as wall contact."""
+    segs = []
+
+    def add(s):
+        try:
+            ObstacleScene(tuple(segs) + (s,), boundary=domain)
+        except SceneInvalid:
+            return
+        segs.append(s)
+
+    while len(segs) < 6:
+        a = P(rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2))
+        th, r = rng.uniform(0, math.pi), rng.uniform(0.05, 0.3)
+        b = P(a.x + r * math.cos(th), a.y + r * math.sin(th))
+        if all(contains(domain, q) is Region.INTERIOR for q in (a, b)):
+            add(Segment2(a, b))
+    for w in domain.boundary_features()[:3]:
+        m, d = _mid(w), w.b - w.a
+        n = P(d.y, -d.x).scaled(1.0 / math.hypot(d.x, d.y))
+        n = n if contains(domain, m + n.scaled(1e-3)) is Region.EXTERIOR else n.scaled(-1.0)
+        add(Segment2(m - n.scaled(0.2), m + n.scaled(0.5 * EPS_GEOM)))
+    return tuple(segs)
+
+
+def _near(s, rng, offsets):
+    """Points on segment s and at the given distances off it: across it at
+    random places and at its ends, and beyond each end along it."""
+    d = s.b - s.a
+    u = d.scaled(1.0 / math.hypot(d.x, d.y))
+    n = P(-u.y, u.x)
+    pts = []
+    for t in (0.0, rng.random(), rng.random(), 1.0):
+        q = s.a + d.scaled(t)
+        pts += [q + n.scaled(k * EPS_GEOM) for k in offsets]
+    pts += [s.a - u.scaled(k * EPS_GEOM) for k in offsets] + [s.b + u.scaled(k * EPS_GEOM) for k in offsets]
+    return pts
+
+
+def test_closure_mask_is_contains():
+    rng = random.Random(16)
+    scenes = [clipped_family_scene((1, 2, 3))]
+    for seed in range(5):
+        domain = random_slit_domain(seed)
+        scenes.append(ObstacleScene(_obstacles_in(domain, rng), boundary=domain))
+    beside_obstacle_outside = 0
+    for scene in scenes:
+        domain = scene.boundary
+        pts = [P(rng.uniform(-2.2, 4.5), rng.uniform(-2.2, 4.5)) for _ in range(300)]
+        for s in scene.segments:
+            pts += _near(s, rng, (0.0, 0.5, 1.0, 2.0, -0.5, -1.0, -2.0))
+        for w in domain.boundary_features():
+            pts += _near(w, rng, (0.0, 0.5, 1.0, 1.2, 1.5, 2.0, 3.0, -0.5, -1.0, -1.2, -1.5, -2.0, -3.0))
+        got = PreparedScene(scene)._closure_mask(point_array(pts)).tolist()
+        want = [contains(domain, p) is not Region.EXTERIOR for p in pts]
+        assert got == want
+        FA, FB = point_array([s.a for s in scene.segments]), point_array([s.b for s in scene.segments])
+        near = (_batch.point_seg_dists(point_array(pts), FA, FB) <= EPS_GEOM).any(axis=1)
+        beside_obstacle_outside += int((near & ~np.array(want)).sum())
+    # points within EPS_GEOM of an obstacle segment that pokes out of a wall
+    # are outside the closure all the same
+    assert beside_obstacle_outside > 0
