@@ -74,7 +74,7 @@ from .sceneio import (
     render_svg,
     scene_to_json,
 )
-from .visibility import PreparedScene
+from .visibility import ObstacleScene, PreparedScene
 
 EXIT_OK = 0
 EXIT_SPEC = 1
@@ -170,7 +170,7 @@ def _domain_of(scene: Scene, command: str) -> PlanarDomain:
 def _oracle_lengths(scene: Scene, pts: list[Point2], hints: list[str | None]) -> np.ndarray:
     """Pairwise shortest-path lengths in a scene with obstacle segments,
     inf where a pair is unreachable."""
-    paths = PreparedScene(scene.obstacle_scene()).shortest_paths(pts, hints)
+    paths = PreparedScene(ObstacleScene(scene.segments, scene.domain)).shortest_paths(pts, hints)
     out = np.zeros((len(pts), len(pts)))
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):

@@ -463,10 +463,7 @@ def spiral_labyrinth(spec: SpiralSpec) -> SpiralLabyrinth:
 
 def _labyrinth_length(spec: SpiralSpec) -> float:
     lab = spiral_labyrinth(spec)
-    if lab.entrance.distance_to(lab.exit) <= EPS_GEOM:
-        return 0.0
-    res = PreparedScene(lab.scene).shortest_path(lab.entrance, lab.exit)
-    return res.length
+    return PreparedScene(lab.scene).shortest_path(lab.entrance, lab.exit).length
 
 
 def labyrinth_min_coils(

@@ -71,10 +71,6 @@ class Point2:
             raise DomainInvalid("cannot normalize a zero vector")
         return Point2(self.x / n, self.y / n)
 
-    def perp(self) -> "Point2":
-        """Left normal: the vector rotated +90 degrees."""
-        return Point2(-self.y, self.x)
-
     def as_tuple(self) -> tuple[float, float]:
         return (self.x, self.y)
 

@@ -11,11 +11,12 @@ use that form.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -108,53 +109,6 @@ def _representatives(
     return inward_offsets(domain, t, offsets, hint)
 
 
-def _face_lengths(
-    engine: PreparedScene, reps: Sequence[Sequence[tuple[Point2, ...]]]
-) -> Callable[[int, int, int, int], list[float]]:
-    """Lookup of the lengths at every offset between face fi of point i and
-    face fj of point j > i, where reps[i] lists the faces of point i.
-
-    One one-to-many search covers the distinct representatives of all
-    offsets, keyed by (point, representative) and listed point by point, so
-    every pair is searched from its earlier point, as one search per offset
-    would; an interior point, its own representative at every offset, is
-    searched once."""
-    keys = dict.fromkeys((i, r) for i, faces in enumerate(reps) for face in faces for r in face)
-    index = {key: a for a, key in enumerate(keys)}
-    paths = engine.shortest_paths([r for _, r in keys])
-
-    def lengths(i: int, fi: int, j: int, fj: int) -> list[float]:
-        pairs = zip(reps[i][fi], reps[j][fj])
-        return [paths[index[(i, a)]][index[(j, b)]].length for a, b in pairs]
-
-    return lengths
-
-
-def _estimate(
-    lengths: Callable[[int, int, int, int], list[float]],
-    reps: Sequence[Sequence[tuple[Point2, ...]]],
-    i: int,
-    j: int,
-    cfg: MetricConfig,
-) -> DistanceEstimate:
-    """The estimate between points i < j over the pair of their faces with
-    the smallest value (the first such pair on ties): a point where several
-    interior faces meet is as near as its nearest face.  `lengths` is the
-    :func:`_face_lengths` lookup over `reps`."""
-    best: DistanceEstimate | None = None
-    for fi in range(len(reps[i])):
-        for fj in range(len(reps[j])):
-            values = lengths(i, fi, j, fj)
-            est = DistanceEstimate(
-                _extrapolate(values, cfg),
-                tuple(zip(cfg.offsets, values)),
-                _converged(values, cfg),
-            )
-            if best is None or est.value < best.value:
-                best = est
-    return best
-
-
 def _extrapolate(lengths: Sequence[float], cfg: MetricConfig) -> float:
     finite = [v for v in lengths if not math.isinf(v)]
     if not finite:
@@ -215,8 +169,14 @@ def distance_matrix(
     hints: Sequence[str | None] | None = None,
 ) -> list[list[DistanceEstimate]]:
     """Pairwise rho over the points; symmetric by construction (each
-    unordered pair is evaluated once, with shared offset representatives,
-    from one one-to-many search over all the offsets)."""
+    unordered pair is evaluated once, with shared offset representatives).
+
+    One one-to-many search covers the distinct representatives of all
+    offsets, keyed by (point, representative) and listed point by point, so
+    every pair is searched from its earlier point, as one search per offset
+    would; an interior point is searched once.  A point where several
+    interior faces meet is as near as its nearest face: each pair keeps its
+    face pair of smallest value, the first on ties."""
     cfg = cfg or MetricConfig()
     if hints is None:
         hints = [None] * len(points)
@@ -225,13 +185,21 @@ def distance_matrix(
     reps = [
         _representatives(domain, p, h, cfg.offsets) for p, h in zip(points, hints)
     ]
-    lengths = _face_lengths(_engine(domain), reps)
+    keys = dict.fromkeys((i, r) for i, faces in enumerate(reps) for face in faces for r in face)
+    index = {key: a for a, key in enumerate(keys)}
+    paths = _engine(domain).shortest_paths([r for _, r in keys])
     n = len(points)
     zero = DistanceEstimate(0.0, tuple((d, 0.0) for d in cfg.offsets), True)
     out: list[list[DistanceEstimate]] = [[zero] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            out[i][j] = out[j][i] = _estimate(lengths, reps, i, j, cfg)
+            estimates = []
+            for fi, fj in itertools.product(reps[i], reps[j]):
+                values = [paths[index[i, a]][index[j, b]].length for a, b in zip(fi, fj)]
+                estimates.append(DistanceEstimate(
+                    _extrapolate(values, cfg), tuple(zip(cfg.offsets, values)), _converged(values, cfg)
+                ))
+            out[i][j] = out[j][i] = min(estimates, key=lambda est: est.value)
     return out
 
 

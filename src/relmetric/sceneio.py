@@ -29,7 +29,6 @@ from typing import Any, Sequence
 from .errors import SceneInvalid
 from .geom import PlanarDomain, Point2, Segment2
 from .metric import EXTRAPOLATIONS, MetricConfig
-from .visibility import ObstacleScene
 
 _TOP_KEYS = {"domain", "points", "hints", "config", "segments", "generator"}
 _DOMAIN_KEYS = {"outer", "holes", "slits"}
@@ -57,13 +56,6 @@ class Scene:
     m_circle: int = DEFAULT_M_CIRCLE
     segments: tuple[Segment2, ...] = ()
     generator: dict | None = None
-
-    def obstacle_scene(self) -> ObstacleScene:
-        if self.segments:
-            return ObstacleScene(segments=self.segments, boundary=self.domain)
-        if self.domain is None:
-            raise SceneInvalid("scene has neither a domain nor segments")
-        return ObstacleScene.from_domain(self.domain)
 
 
 def _require_mapping(obj: Any, where: str) -> dict:

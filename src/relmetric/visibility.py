@@ -324,8 +324,9 @@ class PreparedScene:
     def _visibility(self, S: np.ndarray, Q: np.ndarray, skip: Sequence[int]) -> list[np.ndarray]:
         """For each source S[r], the indices, ascending, of the candidates
         Q[j] visible from it.  The first ``_n`` rows of Q are the base nodes
-        in order; source r sits at base node skip[r], or at none (-1): an
-        off-node terminal has no base node within EPS_GEOM.
+        in order; source r sits exactly at base node skip[r], so the distance
+        test drops its own column, or at none (-1): an off-node terminal has
+        no base node within EPS_GEOM.
 
         The sources go in chunks of at most ``_ROW_BLOCK`` (source, candidate,
         feature) triples.  Two filters, the more selective first: the segment
@@ -341,7 +342,6 @@ class PreparedScene:
         for lo in range(0, len(S), step):
             B, at = S[lo : lo + step], skip[lo : lo + step]
             ok = np.linalg.norm(Q[None] - B[:, None], axis=2) > EPS_GEOM
-            ok[at >= 0, at[at >= 0]] = False
             ok &= ~_batch.cross_matrix(B[:, None], Q, FA[:c], FB[:c], EPS_GEOM).any(axis=2)
             si, cj = np.nonzero(ok)
             f, width = c, 2 * c

@@ -235,6 +235,17 @@ def test_check_metric_passes_on_square(tmp_path, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+def test_check_metric_samples_interior_points(tmp_path, capsys):
+    # with fewer than three named points the check draws its own, seeded
+    two = Scene(domain=square_scene().domain, points={"a": P(0.2, 0.2), "b": P(0.8, 0.8)})
+    scene = write_scene(tmp_path, "two.json", two)
+    assert main(["check", "metric", scene, "--seed", "7"]) == 0
+    first = capsys.readouterr().out
+    assert "points 12" in first.splitlines()
+    assert main(["check", "metric", scene, "--seed", "7"]) == 0
+    assert capsys.readouterr().out == first
+
+
 def test_check_geodesic_needs_both_endpoints(tmp_path, capsys):
     scene = write_scene(tmp_path, "sq.json", square_scene())
     assert main(["check", "geodesic", scene, "--p", "sw"]) == 1

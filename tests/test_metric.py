@@ -21,6 +21,7 @@ from relmetric.metric import (
     rho,
 )
 from relmetric.rigidity import boundary_arc_points
+from relmetric.visibility import PreparedScene
 
 P = Point2
 UNIT = PlanarDomain([P(0, 0), P(1, 0), P(1, 1), P(0, 1)])
@@ -181,6 +182,42 @@ def test_hint_at_an_oblique_junction_takes_the_face_beside_the_slit():
 def test_outside_point_rejected():
     with pytest.raises(SceneInvalid):
         rho(UNIT, P(2.0, 2.0), P(0.5, 0.5))
+
+
+# -- offset schedule ----------------------------------------------------------
+
+JUNCTION = PlanarDomain(UNIT.outer, slits=(Segment2(P(0, 0.5), P(0.6, 0.5)),))
+
+
+def test_one_offset_is_converged_at_its_length():
+    est = rho(JUNCTION, P(1, 0.2), P(0, 0.8), MetricConfig(offsets=(1e-2,)))
+    assert est.converged
+    assert len(est.per_offset) == 1
+    assert est.value == est.per_offset[0][1]
+
+
+def test_two_offsets_converge_within_tol_metric():
+    cfg = MetricConfig(offsets=(1e-2, 1e-3))
+    with pytest.warns(RuntimeWarning, match="did not converge"):
+        assert not rho(JUNCTION, P(1, 0.2), P(0, 0.8), cfg).converged
+    # a straight chord between interior points is the same at every offset
+    assert rho(JUNCTION, P(0.3, 0.2), P(0.2, 0.8), cfg).converged
+
+
+def test_distance_matrix_runs_one_search_table(monkeypatch):
+    calls = []
+    table = PreparedScene.shortest_paths
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return table(*args, **kwargs)
+
+    monkeypatch.setattr(PreparedScene, "shortest_paths", counted)
+    points = [P(0, 0.5), P(1, 0.2), P(0, 0.8), P(0.3, 0.4)]
+    for cfg in (MetricConfig(), MetricConfig(offsets=(1e-2,))):
+        calls.clear()
+        distance_matrix(JUNCTION, points, cfg)
+        assert len(calls) == 1
 
 
 # -- matrices -----------------------------------------------------------------
