@@ -322,9 +322,10 @@ def _random_interior_points(
 def _check_metric(args, scene: Scene, domain: PlanarDomain) -> int:
     cfg = _cfg_from(scene, args)
     tol = args.tol if args.tol is not None else cfg.tol_metric
-    selected = args.points or sorted(scene.points)
-    if len(selected) >= 3:
-        pts, hints = _named_points(scene, selected)
+    if args.points or len(scene.points) >= 3:
+        pts, hints = _named_points(scene, args.points or sorted(scene.points))
+        if len(pts) < 3:
+            raise SceneInvalid("metric check needs at least three named points")
     else:
         pts = _random_interior_points(domain, args.samples, args.seed, max(cfg.offsets))
         hints = None

@@ -285,17 +285,19 @@ def extract_geodesic(
     hint_y: str | None = None,
     grid: int = 12,
 ) -> GeodesicCheck:
-    """Smallest-offset shortest path, arc-length parametrized, with the
-    restriction identity checked on a parameter grid: the distance between
-    two path points equals their parameter difference, and no subpath is
-    longer than its parameter span."""
+    """Smallest-offset shortest path between the nearest faces of x and y,
+    arc-length parametrized, with the restriction identity checked on a
+    parameter grid: the distance between two path points equals their
+    parameter difference, and no subpath is longer than its parameter span."""
     cfg = cfg or MetricConfig()
     grid = max(grid, 10)
     d_min = cfg.offsets[-1]
-    rx = _representatives(domain, x, hint_x, (d_min,))[0][0]
-    ry = _representatives(domain, y, hint_y, (d_min,))[0][0]
+    fx = [face[0] for face in _representatives(domain, x, hint_x, (d_min,))]
+    fy = [face[0] for face in _representatives(domain, y, hint_y, (d_min,))]
     engine = _engine(domain)
-    res = engine.shortest_path(rx, ry)
+    paths = engine.shortest_paths(fx + fy)
+    # the nearest face pair, the first on ties, as in distance_matrix
+    res = min((paths[a][len(fx) + b] for a in range(len(fx)) for b in range(len(fy))), key=lambda r: r.length)
     if not res.reached or res.path is None:
         raise UnreachableError(
             f"no finite distance between ({x.x}, {x.y}) and ({y.x}, {y.y})"

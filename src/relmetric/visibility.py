@@ -221,8 +221,11 @@ class PreparedScene:
     Terminals: every query point c becomes node ``_n + c`` of the query
     graph, with a position, a wedge list and a visibility row like a base
     node, computed once per query against the base nodes and all the query
-    points.  A point within EPS_GEOM of base node v takes v's position and
-    wedges, and its row is v's row; it is seen wherever v is.  A side hint
+    points.  Every node of the query has an owner, the base node it sits
+    on: a base node owns itself, and a point is owned by the base node at
+    its exact position, else by the first one within EPS_GEOM, else by none.
+    An owned point takes its owner's position and wedges, so its row is its
+    owner's row and it is seen wherever its owner is.  A side hint
     keeps the face :func:`geom.hinted_wedges` gives, and is ignored where
     no obstacle segment or slit passes through the point.  The rows of the
     base nodes that a point sees gain that point.  Each (node, wedge)
@@ -242,8 +245,8 @@ class PreparedScene:
     A visibility row is two filters, the more selective first: candidate
     edges that properly cross a feature are rejected, feature chunk by
     feature chunk on the edges still unblocked, and only the survivors are
-    tested for passing through another base node (the path must decompose
-    there instead).  An edge that survives both stays in one face of the
+    tested for passing through a base node other than the owners of its
+    ends (the path must decompose there instead).  An edge that survives both stays in one face of the
     features, the face its wedge opens into, so rows need no region test.
     A terminal with a wedge outside the region (its hint chose that side,
     or it has no side in the region) keeps its edges only where their
@@ -261,7 +264,6 @@ class PreparedScene:
         rim = () if floor is None else tuple(polygon_edges(floor))
         self.features: tuple[Segment2, ...] = scene.segments + walls + rim
         self.base_points = list(dict.fromkeys(p for f in self.features for p in (f.a, f.b)))
-        self._pos_index = {p: i for i, p in enumerate(self.base_points)}
         self._n = len(self.base_points)
         self._FA, self._FB, self._angles = feature_arrays(self.features)
         # the two-sided features, whose side a hint chooses
@@ -316,31 +318,30 @@ class PreparedScene:
     def _vis_row(self, i: int) -> list[int]:
         """Base nodes visible from base node i, cached; a miss computes all n rows if they fit one block."""
         if i not in self._nbrs:
-            src = np.arange(self._n) if self._n**2 * len(self._FA) <= _ROW_BLOCK else np.array([i])
-            for j, row in zip(src.tolist(), self._visibility(self._P[src], self._P, src)):
+            nodes = np.arange(self._n)
+            src = nodes if self._n**2 * len(self._FA) <= _ROW_BLOCK else np.array([i])
+            for j, row in zip(src.tolist(), self._visibility(src, self._P, nodes)):
                 self._nbrs[j] = row.tolist()
         return self._nbrs[i]
 
-    def _visibility(self, S: np.ndarray, Q: np.ndarray, skip: Sequence[int]) -> list[np.ndarray]:
-        """For each source S[r], the indices, ascending, of the candidates
-        Q[j] visible from it.  The first ``_n`` rows of Q are the base nodes
-        in order; source r sits exactly at base node skip[r], so the distance
-        test drops its own column, or at none (-1): an off-node terminal has
-        no base node within EPS_GEOM.
+    def _visibility(self, src: np.ndarray, Q: np.ndarray, own: np.ndarray) -> list[np.ndarray]:
+        """For each source Q[s], s in src, the indices, ascending, of the
+        candidates Q[j] visible from it.  Row j of the table sits exactly at
+        base node own[j], or at none (-1); a segment ends at the owners of
+        its two ends, so the through-node test drops them.
 
         The sources go in chunks of at most ``_ROW_BLOCK`` (source, candidate,
         feature) triples.  Two filters, the more selective first: the segment
-        S[r]->Q[j] must properly cross no feature, and only the surviving
+        Q[s]->Q[j] must properly cross no feature, and only the surviving
         pairs are tested for passing through a base node.  The crossing filter
         tests the first ``_CROSS_CHUNK`` features on the whole block, then each
         later chunk, twice as wide as the one before, only on the pairs that no
         earlier chunk blocked."""
-        skip = np.asarray(skip, dtype=np.intp)
         FA, FB, c = self._FA, self._FB, _CROSS_CHUNK
         step = max(1, _ROW_BLOCK // max(1, len(Q) * len(FA)))
         rows = []
-        for lo in range(0, len(S), step):
-            B, at = S[lo : lo + step], skip[lo : lo + step]
+        for lo in range(0, len(src), step):
+            B = Q[src[lo : lo + step]]
             ok = np.linalg.norm(Q[None] - B[:, None], axis=2) > EPS_GEOM
             ok &= ~_batch.cross_matrix(B[:, None], Q, FA[:c], FB[:c], EPS_GEOM).any(axis=2)
             si, cj = np.nonzero(ok)
@@ -351,10 +352,9 @@ class PreparedScene:
                 si, cj = si[free], cj[free]
                 f, width = f + width, 2 * width
             near = _batch.seg_point_dists(B[si], Q[cj], self._P) <= EPS_GEOM
-            # a base-node candidate and the source's node end the segment
-            pair, at = np.arange(len(si)), at[si]
-            near[pair[cj < self._n], cj[cj < self._n]] = False
-            near[pair[at >= 0], at[at >= 0]] = False
+            pair = np.arange(len(si))
+            for end in (own[src[lo + si]], own[cj]):
+                near[pair[end >= 0], end[end >= 0]] = False
             ok[:] = False
             ok[si, cj] = ~near.any(axis=1)
             rows += [np.flatnonzero(r) for r in ok]
@@ -362,14 +362,17 @@ class PreparedScene:
 
     # -- terminals -----------------------------------------------------------
 
-    def _snap(self, t: Point2) -> int | None:
-        """The base node at t: an exact position match, else the first base
-        node within EPS_GEOM."""
-        idx = self._pos_index.get(t)
-        if idx is None:
-            near = np.nonzero(np.hypot(self._P[:, 0] - t.x, self._P[:, 1] - t.y) <= EPS_GEOM)[0]
-            idx = int(near[0]) if near.size else None
-        return idx
+    def _owners(self, T: np.ndarray) -> np.ndarray:
+        """The base node each point of T sits on, -1 for none: an exact
+        position match, else the first base node within EPS_GEOM."""
+        D = np.hypot(T[:, None, 0] - self._P[:, 0], T[:, None, 1] - self._P[:, 1])
+        near = D <= EPS_GEOM
+        # also the case of a scene with no base nodes, where argmax fails
+        if not near.any():
+            return np.full(len(T), -1)
+        # the first node of the best score owns a point: 2 exact, 1 near
+        own = (2 * (D == 0.0) + near).argmax(axis=1)
+        return np.where(near.any(axis=1), own, -1)
 
     def _terminal_wedges(
         self, p: Point2, rays: list[float], host: int | None, hint: str | None, label: str
@@ -422,16 +425,19 @@ class PreparedScene:
         T = np.array([t.as_tuple() for t in points])
         inside = [True] * k if self._domain is None else self._closure_mask(T).tolist()
         clear = [True] * k if self.floor is None else self._region_mask(T).tolist()
-        snapped = [self._snap(t) for t in points]
-        off = [c for c in range(k) if snapped[c] is None]
+        # row n + c of the table is point c
+        own = np.concatenate([np.arange(n), self._owners(T)])
+        owners = own[n:].tolist()
+        off = [c for c in range(k) if owners[c] < 0]
         rays = dict(zip(off, blocked_rays(T[off], self._FA, self._FB, self._angles)))
         node_wedges = self._node_wedges + [[] for _ in range(k)]
+        positions = self.base_points + list(points)
         labels = "a" + "b" * (k - 1)
         exposed: set[int] = set()
         # checks in the order of the pairs: the pair (0, 1) checks both
         # positions before either point's wedges; a later point c comes with
         # the pair (0, c)
-        for c, v in enumerate(snapped):
+        for c, v in enumerate(owners):
             for d in (0, 1) if c == 0 else () if c == 1 else (c,):
                 if not inside[d]:
                     raise SceneInvalid(f"terminal {labels[d]} lies outside the domain")
@@ -439,38 +445,28 @@ class PreparedScene:
                     raise TerminalInsideFloor(
                         f"terminal {labels[d]} lies strictly inside the floor polygon"
                     )
-            if v is None:
+            if v < 0:
                 wedges, in_region = self._terminal_wedges(points[c], *rays[c], hints[c], labels[c])
                 node_wedges[n + c] = wedges
                 if not in_region:
                     exposed.add(c)
             else:
-                T[c] = self._P[v]
+                T[c], positions[n + c] = self._P[v], self.base_points[v]
                 node_wedges[n + c] = hinted_wedges(
                     self._node_wedges[v], points[c], hints[c], self._sides
                 )
 
-        # point c is node n + c; column n + j of a row is point j
-        positions = self.base_points + [
-            p if v is None else self.base_points[v] for p, v in zip(points, snapped)
-        ]
         Q = np.vstack([self._P, T])
-        at_node = [(n + d, v) for d, v in enumerate(snapped) if v is not None]
         rows: list[list[int]] = []
         seen_by: dict[int, list[int]] = {}
-        for c, row in enumerate(self._visibility(T, Q, [-1 if v is None else v for v in snapped])):
+        for c, row in enumerate(self._visibility(np.arange(n, n + k), Q, own)):
             if c in exposed:
                 # a wedge outside the region: keep the edges whose
                 # midpoints lie in it
                 row = row[self._region_mask(0.5 * (T[c] + Q[row]))]
-            cut = row.searchsorted(n)
-            base = row[:cut].tolist()
-            for v in base:
+            for v in row[: row.searchsorted(n)].tolist():
                 seen_by.setdefault(v, []).append(n + c)
-            # the through-node test rejects a point at a base node, which is
-            # seen wherever its node is
-            seen = set(base)
-            rows.append(base + sorted(row[cut:].tolist() + [t for t, v in at_node if v in seen]))
+            rows.append(row.tolist())
         cache: dict[tuple[int, int], list[tuple[int, int, float]]] = {}
 
         def arcs(i: int, w: int) -> list[tuple[int, int, float]]:

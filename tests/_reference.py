@@ -219,17 +219,30 @@ def boundary_profile(domain: PlanarDomain, m: int) -> BoundaryProfile:
     return BoundaryProfile(tuple(samples), M)
 
 
+def _snap(engine: PreparedScene, t: Point2) -> int | None:
+    """The base node at t: an exact position match, else the first base
+    node within EPS_GEOM."""
+    if t in engine.base_points:
+        return engine.base_points.index(t)
+    return next((v for v, p in enumerate(engine.base_points) if t.distance_to(p) <= EPS_GEOM), None)
+
+
 def shortest_paths(
     engine: PreparedScene, points: Sequence[Point2], hints: Sequence[str | None] | None = None
 ) -> list[list[PathResult | None]]:
     """``engine.shortest_paths`` for valid points, with the per-search rows
     and the edge geometry (angles, wedge tests, step lengths) recomputed at
-    every relaxation of every search."""
+    every relaxation of every search.
+
+    A point at base node v takes v's row, computed from v as the source
+    against unowned point candidates; the through-node test then drops every
+    point at a base node, and each is put back into the rows that see its
+    node."""
     k, n = len(points), engine._n
     out: list[list[PathResult | None]] = [[None] * k for _ in range(k)]
     hints = [None] * k if hints is None else hints
     T = np.array([t.as_tuple() for t in points])
-    snapped = [engine._snap(t) for t in points]
+    snapped = [_snap(engine, t) for t in points]
     off = [c for c in range(k) if snapped[c] is None]
     rays = dict(zip(off, blocked_rays(T[off], engine._FA, engine._FB, engine._angles)))
     node_wedges = engine._node_wedges + [[] for _ in range(k)]
@@ -247,9 +260,11 @@ def shortest_paths(
         p if v is None else engine.base_points[v] for p, v in zip(points, snapped)
     ]
     Q = np.vstack([engine._P, T])
+    own = np.concatenate([np.arange(n), np.full(k, -1)])
+    src = np.array([n + c if v is None else v for c, v in enumerate(snapped)], dtype=np.intp)
     at_node = [(n + d, v) for d, v in enumerate(snapped) if v is not None]
     base_row, point_row = [], []
-    for c, row in enumerate(engine._visibility(T, Q, [-1 if v is None else v for v in snapped])):
+    for c, row in enumerate(engine._visibility(src, Q, own)):
         if c in exposed:
             row = row[engine._region_mask(0.5 * (T[c] + Q[row]))]
         cut = row.searchsorted(n)

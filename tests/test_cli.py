@@ -246,6 +246,17 @@ def test_check_metric_samples_interior_points(tmp_path, capsys):
     assert capsys.readouterr().out == first
 
 
+def test_check_metric_named_points_must_resolve(tmp_path, capsys):
+    # named points are never replaced by random ones: an unknown name or
+    # fewer than three names is an error
+    scene = write_scene(tmp_path, "sq.json", square_scene())
+    assert main(["check", "metric", scene, "--points", "sw,zz"]) == 1
+    assert main(["check", "metric", scene, "--points", "sw,ne"]) == 1
+    assert "points" not in capsys.readouterr().out
+    assert main(["check", "metric", scene, "--points", "sw,ne,nw"]) == 0
+    assert "points 3" in capsys.readouterr().out.splitlines()
+
+
 def test_check_geodesic_needs_both_endpoints(tmp_path, capsys):
     scene = write_scene(tmp_path, "sq.json", square_scene())
     assert main(["check", "geodesic", scene, "--p", "sw"]) == 1

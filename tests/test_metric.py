@@ -293,6 +293,16 @@ def test_geodesic_around_slit(slit_dom):
     assert len(chk.path.vertices) >= 3
 
 
+def test_geodesic_starts_on_the_nearest_face():
+    # x is the slit's foot on the west wall, with a face above and below the
+    # slit; the path from the face above goes round the slit tip
+    dom = PlanarDomain(UNIT.outer, slits=(Segment2(P(0, 0.5), P(0.5, 0.5)),))
+    x, y = P(0, 0.5), P(0.5, 0.1)
+    chk = extract_geodesic(dom, x, y)
+    assert chk.length == rho(dom, x, y, MetricConfig(offsets=(1e-4,))).value
+    assert chk.length < 0.65
+
+
 # -- convexity probes ----------------------------------------------------------
 
 

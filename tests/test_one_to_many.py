@@ -16,7 +16,7 @@ from relmetric.constructions import (
     spiral_labyrinth,
 )
 from relmetric.errors import GeometryError, MissingHint, SceneInvalid
-from relmetric.geom import PlanarDomain, Point2, Region, Segment2, contains
+from relmetric.geom import PlanarDomain, Point2, Region, Segment2, contains, point_array
 from relmetric.rigidity import boundary_arc_points
 from relmetric.visibility import ObstacleScene, PreparedScene, circumscribed_polygon
 
@@ -84,7 +84,7 @@ def test_comb_boundary_samples_snap_to_vertices():
     points = boundary_arc_points(domain, 12) + [P(0.9, 1.2), P(0.3, 0.35)]
     engine = PreparedScene(ObstacleScene.from_domain(domain))
     # sample 0 is the first outer vertex: a base node of the graph
-    assert engine._snap(points[0]) == 0
+    assert engine._owners(point_array(points[:1])).tolist() == [0]
     _assert_same(engine, points)
 
 

@@ -15,7 +15,7 @@ from relmetric.constructions import (
     random_slit_domain,
 )
 from relmetric.errors import GeometryError
-from relmetric.geom import PlanarDomain, Point2, Region, Segment2, blocked_rays, contains
+from relmetric.geom import PlanarDomain, Point2, Region, Segment2, blocked_rays, contains, point_array
 from relmetric.rigidity import boundary_arc_points
 from relmetric.visibility import ObstacleScene, PreparedScene, circumscribed_polygon
 
@@ -65,6 +65,20 @@ def test_obstacle_scenes_with_coincident_and_at_node_points():
         points = _obstacle_points(rng, scene)
         # the last point lies on a segment's interior, so it needs a side
         _assert_same(PreparedScene(scene), points, [None] * 9 + [rng.choice(["left", "right"])])
+
+
+def test_owners_are_the_scalar_snap():
+    # two segments whose ends lie 1e-10 apart: a point exactly at the later
+    # end is owned by it, a point between the two by the earlier one; a
+    # scene with no features owns nothing
+    gap = 1e-10
+    scene = ObstacleScene((Segment2(P(0, 0), P(1, 0)), Segment2(P(1 + gap, 0), P(2, 1))))
+    points = [P(1 + gap, 0), P(1 + gap / 2, 0), P(0.5, 0.5), P(1, 0), P(2, 1), P(0, 0)]
+    for engine in (PreparedScene(scene), PreparedScene(ObstacleScene())):
+        want = [reference._snap(engine, t) for t in points]
+        assert engine._owners(point_array(points)).tolist() == [-1 if v is None else v for v in want]
+        _assert_same(engine, points)
+    assert want == [None] * len(points)
 
 
 def test_slit_domains_with_hints():

@@ -62,20 +62,23 @@ class MaskedScene(PreparedScene):
     """Reference engine: the visibility row with the midpoint region mask,
     computed source by source."""
 
-    def _visibility(self, S, Q, skip):
-        return [self._masked_row(p, Q, s) for p, s in zip(S, skip)]
+    def _visibility(self, src, Q, own):
+        return [self._masked_row(Q, s, own) for s in src]
 
-    def _masked_row(self, p, Q, skip_base):
+    def _masked_row(self, Q, s, own):
+        p, at = Q[s], own[s]
         ok = np.linalg.norm(Q - p[None, :], axis=1) > EPS_GEOM
-        if skip_base >= 0:
-            ok[skip_base] = False
+        if at >= 0:
+            ok[at] = False
         if ok.any():
             ok &= ~_batch.cross_matrix(p, Q, self._FA, self._FB, EPS_GEOM).any(axis=1)
         if ok.any():
             near = _batch.seg_point_dists(p, Q, self._P) <= EPS_GEOM
-            near[np.arange(self._n), np.arange(self._n)] = False
-            if skip_base >= 0:
-                near[:, skip_base] = False
+            # a segment ends at the owners of its two ends
+            owned = np.flatnonzero(own >= 0)
+            near[owned, own[owned]] = False
+            if at >= 0:
+                near[:, at] = False
             ok &= ~near.any(axis=1)
         if ok.any():
             ok &= self._region_mask(0.5 * (p[None, :] + Q))
@@ -246,7 +249,7 @@ def test_ray_tip_just_inside_the_floor_keeps_no_wedge():
         tips = [_polar((0.25 - inset) / math.cos(0.001), phi + 0.001) for phi in (0.0, math.pi)]
         rays = tuple(Segment2(t, _polar(1.0, phi + 0.001)) for t, phi in zip(tips, (0.0, math.pi)))
         engine = PreparedScene(ObstacleScene(rays), floor=floor)
-        assert [len(engine._node_wedges[engine._pos_index[t]]) for t in tips] == [kept, kept]
+        assert [len(engine._node_wedges[engine.base_points.index(t)]) for t in tips] == [kept, kept]
         got = engine.shortest_path(a, b)
         assert (got.length, got.path.vertices) == (want.length, want.path.vertices)
 
@@ -279,14 +282,17 @@ def test_block_rows_equal_single_source_rows(monkeypatch):
         for scene, floor, points, paths in cases:
             engine = PreparedScene(scene, floor=floor)
             n = engine._n
-            base = [r.tolist() for r in engine._visibility(engine._P, engine._P, np.arange(n))]
-            assert base == [engine._visibility(engine._P[[i]], engine._P, [i])[0].tolist() for i in range(n)]
+            nodes = np.arange(n)
+            base = [r.tolist() for r in engine._visibility(nodes, engine._P, nodes)]
+            assert base == [engine._visibility(nodes[[i]], engine._P, nodes)[0].tolist() for i in range(n)]
             # the points, the first two at base nodes 0 and 1, against the
             # base nodes and the points
             T = np.vstack([engine._P[:2], point_array(points)])
-            Q, at = np.vstack([engine._P, T]), [0, 1] + [-1] * len(points)
-            rows = [r.tolist() for r in engine._visibility(T, Q, at)]
-            assert rows == [engine._visibility(T[[r]], Q, at[r : r + 1])[0].tolist() for r in range(len(T))]
+            Q, own = np.vstack([engine._P, T]), np.concatenate([nodes, engine._owners(T)])
+            assert own[n : n + 2].tolist() == [0, 1]
+            src = np.arange(n, len(Q))
+            rows = [r.tolist() for r in engine._visibility(src, Q, own)]
+            assert rows == [engine._visibility(src[[r]], Q, own)[0].tolist() for r in range(len(T))]
             # the cache: every base row on the first miss when they fit one
             # block, else one row at a time
             engine._vis_row(0)
@@ -323,11 +329,12 @@ def test_crossing_chunk_width_changes_nothing(monkeypatch, name):
         engine = PreparedScene(scene, floor=floor)
         assert len(engine._FA) > 64
         n = engine._n
-        rows = [r.tolist() for r in engine._visibility(engine._P, engine._P, np.arange(n))]
+        nodes = np.arange(n)
+        rows = [r.tolist() for r in engine._visibility(nodes, engine._P, nodes)]
         # the points, the first two at base nodes 0 and 1
         T = np.vstack([engine._P[:2], point_array(points)])
-        Q, at = np.vstack([engine._P, T]), [0, 1] + [-1] * len(points)
-        rows += [r.tolist() for r in engine._visibility(T, Q, at)]
+        Q, own = np.vstack([engine._P, T]), np.concatenate([nodes, engine._owners(T)])
+        rows += [r.tolist() for r in engine._visibility(np.arange(n, len(Q)), Q, own)]
         want = rows if want is None else want
         assert rows == want
         got = _keys(engine.shortest_paths(points))
