@@ -324,11 +324,10 @@ def _check_metric(args, scene: Scene, domain: PlanarDomain) -> int:
     tol = args.tol if args.tol is not None else cfg.tol_metric
     if args.points or len(scene.points) >= 3:
         pts, hints = _named_points(scene, args.points or sorted(scene.points))
-        if len(pts) < 3:
-            raise SceneInvalid("metric check needs at least three named points")
     else:
-        pts = _random_interior_points(domain, args.samples, args.seed, max(cfg.offsets))
-        hints = None
+        pts, hints = _random_interior_points(domain, args.samples, args.seed, max(cfg.offsets)), None
+    if len(pts) < 3:
+        raise SpecInvalid("metric check needs at least three points, named or sampled")
     matrix = distance_matrix(domain, pts, cfg, hints)
     rep = check_metric_axioms(matrix, tol)
     _say("points", len(pts))

@@ -234,9 +234,9 @@ def check_metric_axioms(matrix, tol: float = 1e-6) -> MetricAxiomReport:
     """Symmetry, identity/nonnegativity and triangle checks on a distance
     matrix; lists every violating index pair or triple."""
     M = matrix_values(matrix)
-    n, m = M.shape
-    if n != m:
-        raise SpecInvalid(f"matrix must be square, got {n}x{m}")
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise SpecInvalid(f"matrix must be square, got shape {M.shape}")
+    n = len(M)
     sym = []
     with np.errstate(invalid="ignore"):
         gap = np.abs(M - M.T)

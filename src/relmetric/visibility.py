@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -154,9 +154,11 @@ def _arcs(
     row: list[int],
     positions: list[Point2],
     node_wedges: list[list[tuple[float, float]]],
-) -> list[tuple[int, int, float]]:
-    """The edges out of state (i, wedge) in row order: (j, w2, step) for each
-    node j of the row in the wedge and each wedge w2 of j it may enter."""
+    first: list[int],
+) -> list[tuple[int, float]]:
+    """The edges out of a state of node i with the given wedge, in row
+    order: (state, step) for each node j of the row in the wedge and each
+    state of j it may enter; node j's states are numbered from first[j]."""
     p = positions[i]
     out = []
     for j in row:
@@ -167,14 +169,14 @@ def _arcs(
         left_src, right_src = _ray_adjacency(theta, wedge)
         back = (theta + math.pi) % TWO_PI
         step = p.distance_to(q)
-        for w2, wd in enumerate(node_wedges[j]):
+        for state, wd in enumerate(node_wedges[j], first[j]):
             if not _in_wedge(back, wd):
                 continue
             # at the target the edge arrives along `back`; a wedge
             # counterclockwise of `back` lies clockwise of `theta`
             ccw_t, cw_t = _ray_adjacency(back, wd)
             if (left_src and cw_t) or (right_src and ccw_t):
-                out.append((j, w2, step))
+                out.append((state, step))
     return out
 
 
@@ -228,11 +230,15 @@ class PreparedScene:
     owner's row and it is seen wherever its owner is.  A side hint
     keeps the face :func:`geom.hinted_wedges` gives, and is ignored where
     no obstacle segment or slit passes through the point.  The rows of the
-    base nodes that a point sees gain that point.  Each (node, wedge)
-    state's edges are built once per query, so every search of the query
-    does heap work only.  A search from point i runs to the points j > i
-    and skips the others; targets are sinks, settled but never expanded,
-    so a path never passes through another query point.
+    base nodes that a point sees gain that point.
+
+    States: a query numbers its (node, wedge) states once, node by node, so
+    state order is (node, wedge) order and of two states at equal distance
+    the lower settles first.  A state's edges are built on its first
+    expansion and kept for the query, and every search of the query runs
+    Dijkstra on lists indexed by state.  A search from point i runs to the points j > i and skips the
+    others; targets are sinks, settled but never expanded, so a path never
+    passes through another query point.
 
     Region: the domain closure (the whole plane without a boundary) minus
     the open floor polygon.  Terminals must lie in it: a point outside the
@@ -467,81 +473,57 @@ class PreparedScene:
             for v in row[: row.searchsorted(n)].tolist():
                 seen_by.setdefault(v, []).append(n + c)
             rows.append(row.tolist())
-        cache: dict[tuple[int, int], list[tuple[int, int, float]]] = {}
-
-        def arcs(i: int, w: int) -> list[tuple[int, int, float]]:
-            if (i, w) not in cache:
-                row = self._vis_row(i) + seen_by.get(i, []) if i < n else rows[i - n]
-                cache[i, w] = _arcs(i, node_wedges[i][w], row, positions, node_wedges)
-            return cache[i, w]
-
+        # states are numbered node by node: state s is wedge s - first[v] of
+        # node v = node[s], so state order is (node, wedge) order
+        first = [0]
+        for wedges in node_wedges:
+            first.append(first[-1] + len(wedges))
+        node = [v for v, wedges in enumerate(node_wedges) for _ in wedges]
+        arcs: list[list[tuple[int, float]] | None] = [None] * len(node)
         for i in range(k - 1):
+            src = n + i
             targets: set[int] = set()
             for j in range(i + 1, k):
                 # two points coincide when their sides overlap
                 if points[i].distance_to(points[j]) <= EPS_GEOM and _wedges_share_interior(
-                    node_wedges[n + i], node_wedges[n + j]
+                    node_wedges[src], node_wedges[n + j]
                 ):
                     out[i][j] = PathResult(True, 0.0, Polyline((points[i],)))
                 else:
+                    out[i][j] = PathResult(False, math.inf, None)
                     targets.add(n + j)
-            for t, found in self._search(n + i, targets, positions, node_wedges, arcs).items():
-                out[i][t - n] = found
-        return out
-
-    def _search(
-        self,
-        src: int,
-        targets: set[int],
-        positions: list[Point2],
-        node_wedges: list[list[tuple[float, float]]],
-        arcs: Callable[[int, int], list[tuple[int, int, float]]],
-    ) -> dict[int, PathResult]:
-        """Dijkstra over (node, wedge) states from node src until every
-        target node is settled.  ``arcs(i, w)`` gives a state's edges, built
-        once per query, so the loop does heap work only; it skips the query
-        nodes it does not target, and never expands a target."""
-        n = self._n
-        heap = [(0.0, src, w) for w in range(len(node_wedges[src]))]
-        dist: dict[tuple[int, int], float] = {(src, w): 0.0 for _, _, w in heap}
-        parent: dict[tuple[int, int], tuple[int, int] | None] = dict.fromkeys(dist)
-
-        found: dict[int, tuple[int, int]] = {}
-        while heap and targets:
-            d, idx, w_idx = heapq.heappop(heap)
-            if d > dist.get((idx, w_idx), math.inf):
-                continue
-            if idx in targets and idx not in found:
-                found[idx] = (idx, w_idx)
-                if len(found) == len(targets):
-                    break
-            if idx >= n and idx != src:
-                continue
-            for j, w2, step in arcs(idx, w_idx):
-                if j >= n and j not in targets:
+            # Dijkstra until every target is settled: a target is a sink,
+            # and the points not targeted are skipped
+            dist, parent = [math.inf] * len(node), [-1] * len(node)
+            heap = [(0.0, s) for s in range(first[src], first[src + 1])]
+            for _, s in heap:
+                dist[s] = 0.0
+            while heap and targets:
+                d, s = heapq.heappop(heap)
+                v = node[s]
+                if d > dist[s]:
                     continue
-                nd = d + step
-                key2 = (j, w2)
-                if nd < dist.get(key2, math.inf):
-                    dist[key2] = nd
-                    parent[key2] = (idx, w_idx)
-                    heapq.heappush(heap, (nd, j, w2))
-
-        results = {t: PathResult(False, math.inf, None) for t in targets}
-        for t, key in found.items():
-            chain: list[Point2] = []
-            cur: tuple[int, int] | None = key
-            while cur is not None:
-                chain.append(positions[cur[0]])
-                cur = parent[cur]
-            chain.reverse()
-            verts: list[Point2] = [chain[0]]
-            for p in chain[1:]:
-                if p.distance_to(verts[-1]) > EPS_GEOM:
-                    verts.append(p)
-            poly = Polyline(tuple(verts))
-            results[t] = PathResult(True, poly.length(), poly)
-        return results
+                if v in targets:
+                    targets.remove(v)
+                    chain, t = [], s
+                    while t >= 0:
+                        chain.append(positions[node[t]])
+                        t = parent[t]
+                    poly = Polyline(tuple(reversed(chain)))
+                    out[i][v - n] = PathResult(True, poly.length(), poly)
+                if v >= n and v != src:
+                    continue
+                if arcs[s] is None:
+                    row = self._vis_row(v) + seen_by.get(v, []) if v < n else rows[v - n]
+                    arcs[s] = _arcs(v, node_wedges[v][s - first[v]], row, positions, node_wedges, first)
+                for t, step in arcs[s]:
+                    if t >= first[n] and node[t] not in targets:
+                        continue
+                    nd = d + step
+                    if nd < dist[t]:
+                        dist[t], parent[t] = nd, s
+                        heapq.heappush(heap, (nd, t))
+        return out
 
 
 def shortest_path_confined(

@@ -244,6 +244,13 @@ def test_check_metric_samples_interior_points(tmp_path, capsys):
     assert "points 12" in first.splitlines()
     assert main(["check", "metric", scene, "--seed", "7"]) == 0
     assert capsys.readouterr().out == first
+    # fewer than three samples make no triple to check
+    for n in (0, 1, 2):
+        assert main(["check", "metric", scene, "--samples", str(n)]) == EXIT_SPEC
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+    assert main(["check", "metric", scene, "--samples", "3"]) == 0
+    assert "points 3" in capsys.readouterr().out.splitlines()
 
 
 def test_check_metric_named_points_must_resolve(tmp_path, capsys):

@@ -275,6 +275,12 @@ def test_axioms_tolerate_infinities():
     assert check_metric_axioms(vals).ok
 
 
+def test_axioms_need_a_square_matrix():
+    for bad in ([], np.zeros(3), np.zeros((2, 3))):
+        with pytest.raises(SpecInvalid):
+            check_metric_axioms(bad)
+
+
 # -- geodesics ----------------------------------------------------------------
 
 

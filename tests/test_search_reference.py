@@ -15,7 +15,16 @@ from relmetric.constructions import (
     random_slit_domain,
 )
 from relmetric.errors import GeometryError
-from relmetric.geom import PlanarDomain, Point2, Region, Segment2, blocked_rays, contains, point_array
+from relmetric.geom import (
+    EPS_GEOM,
+    PlanarDomain,
+    Point2,
+    Region,
+    Segment2,
+    blocked_rays,
+    contains,
+    point_array,
+)
 from relmetric.rigidity import boundary_arc_points
 from relmetric.visibility import ObstacleScene, PreparedScene, circumscribed_polygon
 
@@ -30,8 +39,14 @@ def _keys(table):
 
 
 def _assert_same(engine, points, hints=None):
-    got = _keys(engine.shortest_paths(points, hints))
+    table = engine.shortest_paths(points, hints)
+    got = _keys(table)
     assert got == _keys(reference.shortest_paths(engine, points, hints))
+    # every step of a path is an arc of a visibility row, and rows hold no
+    # candidate within EPS_GEOM of the source, so no vertex repeats
+    for r in (r for row in table for r in row if r is not None and r.path is not None):
+        verts = r.path.vertices
+        assert all(p.distance_to(q) > EPS_GEOM for p, q in zip(verts, verts[1:]))
     return got
 
 
@@ -65,6 +80,16 @@ def test_obstacle_scenes_with_coincident_and_at_node_points():
         points = _obstacle_points(rng, scene)
         # the last point lies on a segment's interior, so it needs a side
         _assert_same(PreparedScene(scene), points, [None] * 9 + [rng.choice(["left", "right"])])
+
+
+def test_equal_routes_break_ties_by_state_order():
+    # round the square with corners (+-1, +-1), (-2, 0) reaches (2, 0) as
+    # fast over the bottom corners as over the top ones; the heap settles
+    # the lower state first and keeps that route
+    corners = [P(-1, -1), P(1, -1), P(1, 1), P(-1, 1)]
+    square = ObstacleScene(tuple(Segment2(a, b) for a, b in zip(corners, corners[1:] + corners[:1])))
+    got = _assert_same(PreparedScene(square), [P(-2, 0), P(2, 0), P(0, -2), P(0, 2)])
+    assert got[0][1][2] == (P(-2, 0), P(-1, -1), P(1, -1), P(2, 0))
 
 
 def test_owners_are_the_scalar_snap():
