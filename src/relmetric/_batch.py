@@ -6,9 +6,10 @@ strips disjointness distances.
 The orientation tolerance is absolute on twice the signed area.  Every
 point-segment distance goes through one elementwise kernel, ``_pseg``.  The
 crossing kernel broadcasts its segments, so the visibility filter runs it
-on a block of sources against all candidates, then on survivor pairs.  The
-scalar predicates that tests compare these kernels against live in the
-test suite (``tests/_reference.py``).
+on a block of sources against all candidates, then on survivor pairs, in
+doubling feature chunks (nearest first for a lone source).  The scalar
+predicates that tests compare these kernels against live in the test suite
+(``tests/_reference.py``).
 """
 from __future__ import annotations
 

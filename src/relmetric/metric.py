@@ -204,15 +204,14 @@ def distance_matrix(
 
 
 def matrix_values(matrix) -> np.ndarray:
-    """Float matrix from distance_matrix output (or pass an array through)."""
+    """Float matrix from distance_matrix output, rows of numbers or an array; else SpecInvalid."""
     if isinstance(matrix, np.ndarray):
         return matrix.astype(float)
-    rows = []
-    for row in matrix:
-        rows.append(
-            [cell.value if isinstance(cell, DistanceEstimate) else float(cell) for cell in row]
-        )
-    return np.array(rows, dtype=float)
+    try:
+        rows = [[c.value if isinstance(c, DistanceEstimate) else float(c) for c in row] for row in matrix]
+        return np.array(rows, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise SpecInvalid(f"matrix must be a list of equal-length rows of numbers: {exc}") from None
 
 
 @dataclass(frozen=True)

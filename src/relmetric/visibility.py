@@ -43,6 +43,8 @@ _ROW_BLOCK = 1 << 12
 # features in the crossing filter's first chunk; each later chunk is twice as
 # wide and tests only the pairs that no earlier chunk blocked
 _CROSS_CHUNK = 64
+# first chunk of a lone source's features sorted nearest first: a few block most candidates
+_NEAR_CHUNK = 4
 
 
 @dataclass(frozen=True)
@@ -250,9 +252,10 @@ class PreparedScene:
 
     A visibility row is two filters, the more selective first: candidate
     edges that properly cross a feature are rejected, feature chunk by
-    feature chunk on the edges still unblocked, and only the survivors are
-    tested for passing through a base node other than the owners of its
-    ends (the path must decompose there instead).  An edge that survives both stays in one face of the
+    feature chunk (nearest first for a row computed alone) on the edges
+    still unblocked, and only the survivors are tested for passing through
+    a base node other than the owners of its ends (the path must decompose
+    there instead).  An edge that survives both stays in one face of the
     features, the face its wedge opens into, so rows need no region test.
     A terminal with a wedge outside the region (its hint chose that side,
     or it has no side in the region) keeps its edges only where their
@@ -342,12 +345,17 @@ class PreparedScene:
         pairs are tested for passing through a base node.  The crossing filter
         tests the first ``_CROSS_CHUNK`` features on the whole block, then each
         later chunk, twice as wide as the one before, only on the pairs that no
-        earlier chunk blocked."""
-        FA, FB, c = self._FA, self._FB, _CROSS_CHUNK
-        step = max(1, _ROW_BLOCK // max(1, len(Q) * len(FA)))
+        earlier chunk blocked.  A block of one source with more features than
+        that takes them nearest first, from a first chunk of ``_NEAR_CHUNK``:
+        near features block most candidates, and any() ignores the order."""
+        step = max(1, _ROW_BLOCK // max(1, len(Q) * len(self._FA)))
         rows = []
         for lo in range(0, len(src), step):
             B = Q[src[lo : lo + step]]
+            FA, FB, c = self._FA, self._FB, _CROSS_CHUNK
+            if step == 1 and len(FA) > c:
+                order = np.argsort(_batch.point_seg_dists(B, FA, FB)[0], kind="stable")
+                FA, FB, c = FA[order], FB[order], _NEAR_CHUNK
             ok = np.linalg.norm(Q[None] - B[:, None], axis=2) > EPS_GEOM
             ok &= ~_batch.cross_matrix(B[:, None], Q, FA[:c], FB[:c], EPS_GEOM).any(axis=2)
             si, cj = np.nonzero(ok)

@@ -276,7 +276,7 @@ def test_axioms_tolerate_infinities():
 
 
 def test_axioms_need_a_square_matrix():
-    for bad in ([], np.zeros(3), np.zeros((2, 3))):
+    for bad in ([], np.zeros(3), np.zeros((2, 3)), [0.0, 1.0], [[0.0], [1.0, 0.0]]):
         with pytest.raises(SpecInvalid):
             check_metric_axioms(bad)
 

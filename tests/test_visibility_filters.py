@@ -317,29 +317,69 @@ def _chunk_case(name):
     return ObstacleScene.from_domain(domain), None, boundary_arc_points(domain, 12) + [P(0.9, 1.2), P(0.3, 0.35)]
 
 
+def _chunk_rows(engine, points):
+    """The rows of every base node, then of the points, the first two at
+    base nodes 0 and 1, against the base nodes and the points."""
+    n = engine._n
+    nodes = np.arange(n)
+    rows = [r.tolist() for r in engine._visibility(nodes, engine._P, nodes)]
+    T = np.vstack([engine._P[:2], point_array(points)])
+    Q, own = np.vstack([engine._P, T]), np.concatenate([nodes, engine._owners(T)])
+    return rows + [r.tolist() for r in engine._visibility(np.arange(n, len(Q)), Q, own)]
+
+
 @pytest.mark.parametrize("name", ["family", "comb"])
 def test_crossing_chunk_width_changes_nothing(monkeypatch, name):
     scene, floor, points = _chunk_case(name)
     paths = _keys(MaskedScene(scene, floor=floor).shortest_paths(points))
+    near, block = visibility._NEAR_CHUNK, visibility._ROW_BLOCK
     want = None
-    # one chunk holding every feature (the single-pass row) first, then
-    # widths that leave a partial last chunk
-    for chunk in (1 << 20, 1, 7, visibility._CROSS_CHUNK):
-        monkeypatch.setattr(visibility, "_CROSS_CHUNK", chunk)
+    # (_CROSS_CHUNK, _NEAR_CHUNK, _ROW_BLOCK): one chunk holding every
+    # feature first, the single-pass row in scene order; then scene-order
+    # chunks of 1 and 7 features with all sources in one block, which leave
+    # a partial last chunk; then single-source rows sorted nearest first,
+    # from a first chunk of 1, 3 and the default width
+    for setting in [(1 << 20, near, block), (1, near, 1 << 30), (7, near, 1 << 30)] + [
+        (visibility._CROSS_CHUNK, first, block) for first in (1, 3, near)
+    ]:
+        for attr, value in zip(("_CROSS_CHUNK", "_NEAR_CHUNK", "_ROW_BLOCK"), setting):
+            monkeypatch.setattr(visibility, attr, value)
         engine = PreparedScene(scene, floor=floor)
         assert len(engine._FA) > 64
-        n = engine._n
-        nodes = np.arange(n)
-        rows = [r.tolist() for r in engine._visibility(nodes, engine._P, nodes)]
-        # the points, the first two at base nodes 0 and 1
-        T = np.vstack([engine._P[:2], point_array(points)])
-        Q, own = np.vstack([engine._P, T]), np.concatenate([nodes, engine._owners(T)])
-        rows += [r.tolist() for r in engine._visibility(np.arange(n, len(Q)), Q, own)]
+        rows = _chunk_rows(engine, points)
         want = rows if want is None else want
         assert rows == want
         got = _keys(engine.shortest_paths(points))
         assert got == paths
         assert any(reached for reached, _, _ in got.values())
+        # the features in another order give the same rows
+        perm = np.random.default_rng(0).permutation(len(engine._FA))
+        engine._FA, engine._FB = engine._FA[perm], engine._FB[perm]
+        assert _chunk_rows(engine, points) == want
+
+
+def test_nearest_features_first_tests_fewer_crossings(monkeypatch):
+    """Over all base rows of both chunk cases, the sorted single-source rows
+    test at most 40% of the (candidate, feature) pairs of the single pass."""
+    cross = _batch.cross_matrix
+    tested = []
+
+    def counting(*args):
+        out = cross(*args)
+        tested[-1] += out.size
+        return out
+
+    monkeypatch.setattr(_batch, "cross_matrix", counting)
+    for name in ("family", "comb"):
+        scene, floor, _ = _chunk_case(name)
+        for chunk in (1 << 20, visibility._CROSS_CHUNK):
+            monkeypatch.setattr(visibility, "_CROSS_CHUNK", chunk)
+            engine = PreparedScene(scene, floor=floor)
+            nodes = np.arange(engine._n)
+            tested.append(0)
+            engine._visibility(nodes, engine._P, nodes)
+        single, nearest = tested[-2:]
+        assert nearest <= 0.4 * single, (name, nearest, single)
 
 
 def _obstacles_in(domain, rng):
