@@ -351,17 +351,21 @@ def domain_arrays(
     return (*feature_arrays(_domain_features(domain)), *rings)
 
 
+def closure_masks(domain: PlanarDomain, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For points P (k, 2): within EPS_GEOM of a boundary feature of the
+    domain, and inside its outer ring but in none of its holes."""
+    FA, FB, _, outer, holes = domain_arrays(domain)
+    return _batch.closure_parts(P, outer, holes, FA, FB, EPS_GEOM)
+
+
 def contains(domain: PlanarDomain, p: Point2) -> Region:
     """Classify p against the closed domain: Interior / Boundary / Exterior.
 
     Points within EPS_GEOM of any boundary feature (outer edge, hole edge or
     slit) classify as Boundary.
     """
-    FA, FB, _, outer, holes = domain_arrays(domain)
-    on_b, inside = _batch.closure_parts(np.array([p.as_tuple()]), outer, holes, FA, FB, EPS_GEOM)
-    if on_b[0]:
-        return Region.BOUNDARY
-    return Region.INTERIOR if inside[0] else Region.EXTERIOR
+    (on_b,), (inside,) = closure_masks(domain, np.array([p.as_tuple()]))
+    return Region.BOUNDARY if on_b else Region.INTERIOR if inside else Region.EXTERIOR
 
 
 def wedges_from_rays(angles: Iterable[float]) -> list[tuple[float, float]]:
@@ -465,12 +469,12 @@ def hinted_wedges(
 
 def inward_offsets(
     domain: PlanarDomain,
-    p: Point2,
+    points: Sequence[Point2],
     deltas: Sequence[float],
-    hint: Hint | None = None,
-) -> list[tuple[Point2, ...]]:
-    """Interior representatives of boundary point p at each distance in
-    deltas, one tuple per interior face that p borders.
+    hints: Sequence[Hint | None],
+) -> list[list[tuple[Point2, ...]]]:
+    """For each boundary point p of points: its interior representatives at
+    each distance in deltas, one tuple per interior face that p borders.
 
     A representative lies on the bisector of a free wedge at p, in the open
     interior, and its step from p crosses no boundary feature.  Without a
@@ -479,37 +483,48 @@ def inward_offsets(
     hint keeps the wedges :func:`hinted_wedges` gives for the slits.  With
     a hint, or when no wedge serves every delta, there is one tuple: at each
     delta, the first wedge that serves it.
+
+    One :func:`blocked_rays` call finds the rays of all the points, and one
+    closure test and one crossing test serve every (point, wedge, delta)
+    candidate.  The first point that fails raises its MissingHint or
+    OffsetFailed, even when a later point fails at an earlier step.
     """
     if min(deltas) <= 0.0:
         raise OffsetFailed("offset distance must be positive")
     FA, FB, angles = domain_arrays(domain)[:3]
-    P = np.array([p.as_tuple()])
-    (rays, host), = blocked_rays(P, FA, FB, angles)
+    P = point_array(points)
     n_walls = len(FA) - len(domain.slits)
-    if hint is None and host is not None and host >= n_walls:
-        raise MissingHint(f"point ({p.x}, {p.y}) lies on a slit; side hint required")
-    wedges = hinted_wedges(wedges_from_rays(rays), p, hint, domain.slits)
-
-    def along(theta: float, delta: float) -> Point2 | None:
-        q = Point2(p.x + delta * math.cos(theta), p.y + delta * math.sin(theta))
-        if contains(domain, q) is not Region.INTERIOR:
-            return None
-        if _batch.cross_matrix(P[0], np.array([q.as_tuple()]), FA, FB, EPS_GEOM).any():
-            return None
-        return q
-
-    faces = [tuple(along(w[0] + 0.5 * w[1], d) for d in deltas) for w in wedges]
-    whole = [f for f in faces if None not in f]
-    if hint is None and whole:
-        return whole
-    # at each delta, the first wedge that serves it
-    firsts = [next((q for q in column if q is not None), None) for column in zip(*faces)]
-    if None in firsts:
-        raise OffsetFailed(
-            f"no interior point within {deltas[firsts.index(None)]} of ({p.x}, {p.y}); "
-            "offset larger than the local feature size?"
-        )
-    return [tuple(firsts)]
+    wedge_lists: list[list[tuple[float, float]]] = []
+    try:
+        for p, hint, (rays, host) in zip(points, hints, blocked_rays(P, FA, FB, angles)):
+            if hint is None and host is not None and host >= n_walls:
+                raise MissingHint(f"point ({p.x}, {p.y}) lies on a slit; side hint required")
+            wedge_lists.append(hinted_wedges(wedges_from_rays(rays), p, hint, domain.slits))
+    except MissingHint:
+        # a point before this one that fails at its offsets fails first
+        inward_offsets(domain, points[: len(wedge_lists)], deltas, hints)
+        raise
+    cands = [(i, d, w[0] + 0.5 * w[1]) for i, ws in enumerate(wedge_lists) for w in ws for d in deltas]
+    Q = [Point2(points[i].x + d * math.cos(t), points[i].y + d * math.sin(t)) for i, d, t in cands]
+    QA = point_array(Q)
+    on_b, inside = closure_masks(domain, QA)
+    ok = inside & ~on_b
+    ok[ok] = ~_batch.cross_matrix(P[[i for i, _, _ in cands]][ok], QA[ok], FA, FB, EPS_GEOM).any(axis=1)
+    served = iter([q if good else None for q, good in zip(Q, ok.tolist())])
+    out = []
+    for p, hint, wedges in zip(points, hints, wedge_lists):
+        faces = [tuple(next(served) for _ in deltas) for _ in wedges]
+        kept = [f for f in faces if None not in f]
+        if hint is not None or not kept:
+            # one tuple: at each delta, the first wedge that serves it
+            kept = [tuple(next((q for q in column if q is not None), None) for column in zip(*faces))]
+            if None in kept[0]:
+                raise OffsetFailed(
+                    f"no interior point within {deltas[kept[0].index(None)]} of ({p.x}, {p.y}); "
+                    "offset larger than the local feature size?"
+                )
+        out.append(kept)
+    return out
 
 
 def inward_offset(
@@ -518,13 +533,9 @@ def inward_offset(
     delta: float,
     hint: Hint | None = None,
 ) -> Point2:
-    """Interior point at distance delta from boundary point p, in the first
-    free wedge whose bisector leads into the interior.
-
-    For points on a slit interior the side is ambiguous and ``hint`` must be
-    "left" or "right" (relative to the slit's stored a->b direction).
-    """
-    return inward_offsets(domain, p, (delta,), hint)[0][0]
+    """The first representative of one boundary point p at one distance
+    delta, as :func:`inward_offsets` gives it."""
+    return inward_offsets(domain, [p], (delta,), [hint])[0][0][0]
 
 
 @dataclass(frozen=True)

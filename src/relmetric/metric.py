@@ -27,10 +27,10 @@ from .geom import (
     PlanarDomain,
     Point2,
     Polyline,
-    Region,
-    contains,
+    closure_masks,
     domain_arrays,
     inward_offsets,
+    point_array,
 )
 from .visibility import ObstacleScene, PathResult, PreparedScene
 
@@ -95,18 +95,22 @@ def closure_distance(
 
 def _representatives(
     domain: PlanarDomain,
-    t: Point2,
-    hint: str | None,
+    points: Sequence[Point2],
+    hints: Sequence[str | None],
     offsets: Sequence[float],
-) -> list[tuple[Point2, ...]]:
-    """Interior representatives of t at each offset, one tuple per interior
-    face t borders (see :func:`inward_offsets`); t itself when interior."""
-    region = contains(domain, t)
-    if region is Region.EXTERIOR:
-        raise SceneInvalid(f"point ({t.x}, {t.y}) lies outside the domain closure")
-    if region is Region.INTERIOR:
-        return [tuple(t for _ in offsets)]
-    return inward_offsets(domain, t, offsets, hint)
+) -> list[list[tuple[Point2, ...]]]:
+    """Each point's interior representatives at each offset, one tuple per
+    interior face it borders (see :func:`inward_offsets`), or the point
+    itself when interior.  One closure test classifies the points; one that
+    lies outside raises SceneInvalid unless a boundary point before it fails
+    first, so the error is that of the first failing point."""
+    on_b, inside = (m.tolist() for m in closure_masks(domain, point_array(points)))
+    stop = next((i for i, (b, n) in enumerate(zip(on_b, inside)) if not (b or n)), len(points))
+    edge = [i for i in range(stop) if on_b[i]]
+    served = iter(inward_offsets(domain, [points[i] for i in edge], offsets, [hints[i] for i in edge]))
+    if stop < len(points):
+        raise SceneInvalid(f"point ({points[stop].x}, {points[stop].y}) lies outside the domain closure")
+    return [next(served) if b else [(t,) * len(offsets)] for t, b in zip(points, on_b)]
 
 
 def _extrapolate(lengths: Sequence[float], cfg: MetricConfig) -> float:
@@ -182,9 +186,7 @@ def distance_matrix(
         hints = [None] * len(points)
     if len(hints) != len(points):
         raise SpecInvalid("hints must parallel points")
-    reps = [
-        _representatives(domain, p, h, cfg.offsets) for p, h in zip(points, hints)
-    ]
+    reps = _representatives(domain, points, hints, cfg.offsets)
     keys = dict.fromkeys((i, r) for i, faces in enumerate(reps) for face in faces for r in face)
     index = {key: a for a, key in enumerate(keys)}
     paths = _engine(domain).shortest_paths([r for _, r in keys])
@@ -257,11 +259,6 @@ def check_metric_axioms(matrix, tol: float = 1e-6) -> MetricAxiomReport:
     return MetricAxiomReport(tuple(sym), tuple(tri), tuple(ident))
 
 
-def _arc_positions(path: Polyline, count: int) -> list[float]:
-    total = path.length()
-    return [total * i / (count - 1) for i in range(count)]
-
-
 def _subpath_length(path: Polyline, s: float, t: float) -> float:
     cum = path.cumulative_lengths()
     lo, hi = min(s, t), max(s, t)
@@ -291,8 +288,8 @@ def extract_geodesic(
     cfg = cfg or MetricConfig()
     grid = max(grid, 10)
     d_min = cfg.offsets[-1]
-    fx = [face[0] for face in _representatives(domain, x, hint_x, (d_min,))]
-    fy = [face[0] for face in _representatives(domain, y, hint_y, (d_min,))]
+    reps = _representatives(domain, [x, y], [hint_x, hint_y], (d_min,))
+    fx, fy = ([face[0] for face in faces] for faces in reps)
     engine = _engine(domain)
     paths = engine.shortest_paths(fx + fy)
     # the nearest face pair, the first on ties, as in distance_matrix
@@ -305,7 +302,7 @@ def extract_geodesic(
     total = path.length()
     if total <= EPS_GEOM:
         return GeodesicCheck(path, 0.0, 0.0, total)
-    params = _arc_positions(path, grid)
+    params = [total * i / (grid - 1) for i in range(grid)]
     pts = [path.point_at(s) for s in params]
     grid_paths = engine.shortest_paths(pts)
     max_dev = 0.0
@@ -379,9 +376,10 @@ def check_property_circ(
     eta: float,
 ) -> ConvexityReport:
     """Strict-convexity test restricted to boundary point pairs."""
-    for p in boundary_samples:
-        if contains(domain, p) is not Region.BOUNDARY:
-            raise SpecInvalid(f"sample ({p.x}, {p.y}) is not a boundary point")
+    off = np.flatnonzero(~closure_masks(domain, point_array(boundary_samples))[0])
+    if off.size:
+        p = boundary_samples[off[0]]
+        raise SpecInvalid(f"sample ({p.x}, {p.y}) is not a boundary point")
     return check_strict_convexity(domain, boundary_samples, eta)
 
 

@@ -1,7 +1,8 @@
 """Scalar references for the array code of the package: the kernels of
 :mod:`relmetric._batch`, the strips' corner detour ratio, the boundary
-profile's sampling and gap rounds, and the shortest-path table with its
-edges rebuilt on every relaxation.
+profile's sampling and gap rounds, the shortest-path table with its
+edges rebuilt on every relaxation, and the metric's offset representatives
+built one point and one candidate at a time.
 
 The package evaluates every predicate with array kernels; these one-at-a-time
 versions are kept for the tests to compare against.  The orientation
@@ -15,21 +16,24 @@ from typing import Sequence
 
 import numpy as np
 
+from relmetric import _batch
 from relmetric.geom import (
     EPS_GEOM,
     TWO_PI,
     PlanarDomain,
     Point2,
     Polyline,
+    Region,
     Segment2,
     _in_wedge,
     blocked_rays,
+    contains,
     domain_arrays,
     hinted_wedges,
     wedges_from_rays,
 )
 from relmetric.constructions import Trapezium
-from relmetric.errors import ProfileUnconverged
+from relmetric.errors import MissingHint, OffsetFailed, ProfileUnconverged, SceneInvalid
 from relmetric.metric import _engine
 from relmetric.rigidity import BoundaryProfile
 from relmetric.visibility import (
@@ -99,6 +103,56 @@ def free_wedges(domain: PlanarDomain, p: Point2) -> list[tuple[float, float]]:
     point p, starts in [0, 2*pi) in increasing order.  An unconstrained
     point yields one full turn."""
     return wedges_from_rays(blocked_rays(np.array([p.as_tuple()]), *domain_arrays(domain)[:3])[0][0])
+
+
+def representatives(
+    domain: PlanarDomain,
+    points: Sequence[Point2],
+    hints: Sequence[str | None],
+    offsets: Sequence[float],
+) -> list[list[tuple[Point2, ...]]]:
+    """``metric._representatives`` one point at a time: ``contains`` per
+    point, then for a boundary point its rays and wedges, and one closure
+    test and one crossing test per (wedge, offset) candidate."""
+    return [_point_representatives(domain, t, h, offsets) for t, h in zip(points, hints)]
+
+
+def _point_representatives(domain, t, hint, offsets):
+    region = contains(domain, t)
+    if region is Region.EXTERIOR:
+        raise SceneInvalid(f"point ({t.x}, {t.y}) lies outside the domain closure")
+    if region is Region.INTERIOR:
+        return [tuple(t for _ in offsets)]
+    if min(offsets) <= 0.0:
+        raise OffsetFailed("offset distance must be positive")
+    FA, FB, angles = domain_arrays(domain)[:3]
+    P = np.array([t.as_tuple()])
+    (rays, host), = blocked_rays(P, FA, FB, angles)
+    n_walls = len(FA) - len(domain.slits)
+    if hint is None and host is not None and host >= n_walls:
+        raise MissingHint(f"point ({t.x}, {t.y}) lies on a slit; side hint required")
+    wedges = hinted_wedges(wedges_from_rays(rays), t, hint, domain.slits)
+
+    def along(theta: float, delta: float) -> Point2 | None:
+        q = Point2(t.x + delta * math.cos(theta), t.y + delta * math.sin(theta))
+        if contains(domain, q) is not Region.INTERIOR:
+            return None
+        if _batch.cross_matrix(P[0], np.array([q.as_tuple()]), FA, FB, EPS_GEOM).any():
+            return None
+        return q
+
+    faces = [tuple(along(w[0] + 0.5 * w[1], d) for d in offsets) for w in wedges]
+    whole = [f for f in faces if None not in f]
+    if hint is None and whole:
+        return whole
+    # at each offset, the first wedge that serves it
+    firsts = [next((q for q in column if q is not None), None) for column in zip(*faces)]
+    if None in firsts:
+        raise OffsetFailed(
+            f"no interior point within {offsets[firsts.index(None)]} of ({t.x}, {t.y}); "
+            "offset larger than the local feature size?"
+        )
+    return [tuple(firsts)]
 
 
 def max_corner_detour_ratio(trap: Trapezium, samples: int = 1024) -> float:

@@ -309,6 +309,14 @@ def test_geodesic_starts_on_the_nearest_face():
     assert chk.length < 0.65
 
 
+def test_geodesic_raises_the_error_of_x_before_that_of_y(slit_dom):
+    outside, on_slit = P(3.0, 3.0), P(1.0, 1.0)
+    with pytest.raises(SceneInvalid):
+        extract_geodesic(slit_dom, outside, on_slit)
+    with pytest.raises(MissingHint):
+        extract_geodesic(slit_dom, on_slit, outside)
+
+
 # -- convexity probes ----------------------------------------------------------
 
 
@@ -334,6 +342,9 @@ def test_slit_domain_fails_circ(slit_dom):
 def test_circ_rejects_non_boundary_samples():
     with pytest.raises(SpecInvalid):
         check_property_circ(UNIT, [P(0.5, 0.5)], eta=0.05)
+    # the first sample off the boundary is named, interior or exterior
+    with pytest.raises(SpecInvalid, match=r"^sample \(2\.0, 0\.5\) is not a boundary point$"):
+        check_property_circ(UNIT, [P(0, 0), P(1, 0.5), P(2.0, 0.5), P(0.5, 0.5)], eta=0.05)
 
 
 def test_ambient_agreement_and_gap(slit_dom):
