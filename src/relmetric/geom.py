@@ -100,9 +100,6 @@ class Segment2:
         if self.a.distance_to(self.b) <= EPS_GEOM:
             raise DomainInvalid(f"degenerate segment at ({self.a.x}, {self.a.y})")
 
-    def length(self) -> float:
-        return self.a.distance_to(self.b)
-
     def direction(self) -> Point2:
         return (self.b - self.a).unit()
 
@@ -432,39 +429,48 @@ def blocked_rays(
 
 
 def hinted_wedges(
-    wedges: list[tuple[float, float]],
-    p: Point2,
-    hint: Hint | None,
+    wedge_lists: list[list[tuple[float, float]]],
+    P: np.ndarray,
+    hints: Sequence[Hint | None],
     sides: Sequence[Segment2],
-) -> list[tuple[float, float]]:
-    """The wedges at p on the hinted side ("left" or "right" of the stored
-    a->b direction) of the first two-sided feature in `sides` (obstacle
-    segments, then slits) within EPS_GEOM of p: inside the feature, those
-    holding its hinted normal; at an end, the one beside its ray from p,
-    since where it meets a wall obliquely the normal may point outside.
+) -> list[list[tuple[float, float]]]:
+    """For each point P[i], the wedges of wedge_lists[i] on the hinted side
+    ("left" or "right" of the stored a->b direction) of the first two-sided
+    feature in `sides` (obstacle segments, then slits) within EPS_GEOM of
+    it: inside the feature, those holding its hinted normal; at an end, the
+    one beside its ray from the point, since where it meets a wall obliquely
+    the normal may point outside.
 
     A hint chooses between the two faces of such a feature and is ignored
-    everywhere else: with no hint, no two-sided feature at p, or no such
-    wedge (a node whose wedges keep only those opening into the region),
-    all the wedges are kept."""
-    if hint is None or not sides:
-        return wedges
+    everywhere else: with no hint, no two-sided feature at the point, or no
+    such wedge (a node whose wedges keep only those opening into the
+    region), all the wedges are kept.  One distance kernel call serves the
+    hinted points.  Nothing is raised: a hint other than "left" picks the
+    right side, and callers reject one other than "right" in their own
+    error order."""
+    out = list(wedge_lists)
+    hinted = [i for i, hint in enumerate(hints) if hint is not None]
+    if not hinted or not sides:
+        return out
     A, B = point_array([s.a for s in sides]), point_array([s.b for s in sides])
-    on = np.flatnonzero(_batch.point_seg_dists(np.array([p.as_tuple()]), A, B)[0] <= EPS_GEOM)
-    if not on.size:
-        return wedges
-    if hint not in ("left", "right"):
-        raise MissingHint(f"unknown hint {hint!r}; expected 'left' or 'right'")
-    wall, side = sides[on[0]], 1.0 if hint == "left" else -1.0
-    d = wall.direction()
-    for end, r in ((wall.a, 1.0), (wall.b, -1.0)):
-        if p.distance_to(end) <= EPS_GEOM:
-            # the ray leaves p along r*d; the hinted side is counterclockwise
-            # of it when side*r > 0, and its wedge then starts at the ray
+    on = _batch.point_seg_dists(P[hinted], A, B) <= EPS_GEOM
+    for i, hit, first in zip(hinted, on.any(axis=1).tolist(), on.argmax(axis=1).tolist()):
+        if not hit:
+            continue
+        (x, y), wall, wedges = P[i].tolist(), sides[first], out[i]
+        side, d = 1.0 if hints[i] == "left" else -1.0, wall.direction()
+        ends = ((wall.a, 1.0), (wall.b, -1.0))
+        r = next((r for end, r in ends if math.hypot(x - end.x, y - end.y) <= EPS_GEOM), 0.0)
+        if r:
+            # the ray leaves the point along r*d; the hinted side is
+            # counterclockwise of it when side*r > 0, and its wedge then
+            # starts at the ray
             ray, edge = math.atan2(r * d.y, r * d.x), 0.0 if side * r > 0 else 1.0
-            return [w for w in wedges if _in_wedge(ray, (w[0] + edge * w[1], 0.0))] or wedges
-    normal = math.atan2(side * d.x, -side * d.y)
-    return [w for w in wedges if _in_wedge(normal, w)] or wedges
+            out[i] = [w for w in wedges if _in_wedge(ray, (w[0] + edge * w[1], 0.0))] or wedges
+        else:
+            normal = math.atan2(side * d.x, -side * d.y)
+            out[i] = [w for w in wedges if _in_wedge(normal, w)] or wedges
+    return out
 
 
 def inward_offsets(
@@ -484,26 +490,20 @@ def inward_offsets(
     a hint, or when no wedge serves every delta, there is one tuple: at each
     delta, the first wedge that serves it.
 
-    One :func:`blocked_rays` call finds the rays of all the points, and one
-    closure test and one crossing test serve every (point, wedge, delta)
-    candidate.  The first point that fails raises its MissingHint or
-    OffsetFailed, even when a later point fails at an earlier step.
+    One :func:`blocked_rays` call finds the rays of all the points, one
+    :func:`hinted_wedges` call their faces, and one closure test and one
+    crossing test serve every (point, wedge, delta) candidate.  The first
+    point that fails raises its MissingHint (a hint other than "left" or
+    "right", or none on a slit) or OffsetFailed, even when a later point
+    fails at an earlier step.
     """
     if min(deltas) <= 0.0:
         raise OffsetFailed("offset distance must be positive")
     FA, FB, angles = domain_arrays(domain)[:3]
     P = point_array(points)
     n_walls = len(FA) - len(domain.slits)
-    wedge_lists: list[list[tuple[float, float]]] = []
-    try:
-        for p, hint, (rays, host) in zip(points, hints, blocked_rays(P, FA, FB, angles)):
-            if hint is None and host is not None and host >= n_walls:
-                raise MissingHint(f"point ({p.x}, {p.y}) lies on a slit; side hint required")
-            wedge_lists.append(hinted_wedges(wedges_from_rays(rays), p, hint, domain.slits))
-    except MissingHint:
-        # a point before this one that fails at its offsets fails first
-        inward_offsets(domain, points[: len(wedge_lists)], deltas, hints)
-        raise
+    found = blocked_rays(P, FA, FB, angles)
+    wedge_lists = hinted_wedges([wedges_from_rays(rays) for rays, _ in found], P, hints, domain.slits)
     cands = [(i, d, w[0] + 0.5 * w[1]) for i, ws in enumerate(wedge_lists) for w in ws for d in deltas]
     Q = [Point2(points[i].x + d * math.cos(t), points[i].y + d * math.sin(t)) for i, d, t in cands]
     QA = point_array(Q)
@@ -512,7 +512,11 @@ def inward_offsets(
     ok[ok] = ~_batch.cross_matrix(P[[i for i, _, _ in cands]][ok], QA[ok], FA, FB, EPS_GEOM).any(axis=1)
     served = iter([q if good else None for q, good in zip(Q, ok.tolist())])
     out = []
-    for p, hint, wedges in zip(points, hints, wedge_lists):
+    for p, hint, wedges, (_, host) in zip(points, hints, wedge_lists, found):
+        if hint is None and host is not None and host >= n_walls:
+            raise MissingHint(f"point ({p.x}, {p.y}) lies on a slit; side hint required")
+        if hint not in (None, "left", "right"):
+            raise MissingHint(f"unknown hint {hint!r}; expected 'left' or 'right'")
         faces = [tuple(next(served) for _ in deltas) for _ in wedges]
         kept = [f for f in faces if None not in f]
         if hint is not None or not kept:

@@ -207,9 +207,9 @@ def distance_matrix(
 
 def matrix_values(matrix) -> np.ndarray:
     """Float matrix from distance_matrix output, rows of numbers or an array; else SpecInvalid."""
-    if isinstance(matrix, np.ndarray):
-        return matrix.astype(float)
     try:
+        if isinstance(matrix, np.ndarray):
+            return matrix.astype(float)
         rows = [[c.value if isinstance(c, DistanceEstimate) else float(c) for c in row] for row in matrix]
         return np.array(rows, dtype=float)
     except (TypeError, ValueError) as exc:

@@ -28,6 +28,7 @@ from .geom import (
     Segment2,
     _in_wedge,
     blocked_rays,
+    closure_masks,
     domain_arrays,
     feature_arrays,
     hinted_wedges,
@@ -229,10 +230,13 @@ class PreparedScene:
     on: a base node owns itself, and a point is owned by the base node at
     its exact position, else by the first one within EPS_GEOM, else by none.
     An owned point takes its owner's position and wedges, so its row is its
-    owner's row and it is seen wherever its owner is.  A side hint
-    keeps the face :func:`geom.hinted_wedges` gives, and is ignored where
-    no obstacle segment or slit passes through the point.  The rows of the
-    base nodes that a point sees gain that point.
+    owner's row and it is seen wherever its owner is; another point takes
+    the wedges between its blocked rays.  One :func:`geom.hinted_wedges`
+    call keeps the face each side hint chooses (a hint other than "left" or
+    "right" is an error, and one is ignored where no obstacle segment or
+    slit passes through the point), and one region mask keeps the sides of
+    the off-node points on a feature.  The rows of the base nodes that a
+    point sees gain that point.
 
     States: a query numbers its (node, wedge) states once, node by node, so
     state order is (node, wedge) order and of two states at equal distance
@@ -278,9 +282,7 @@ class PreparedScene:
         # the two-sided features, whose side a hint chooses
         self._sides = scene.segments + (() if scene.boundary is None else scene.boundary.slits)
         self._P = point_array(self.base_points)
-        # region-mask inputs: the domain's own arrays, and the floor edges,
-        # the last features, whose starts are the floor polygon
-        self._domain = None if scene.boundary is None else domain_arrays(scene.boundary)
+        # the floor edges, the last features, whose starts are the floor polygon
         self._floor_edges = slice(len(self.features) - len(rim), None)
         wedges = [wedges_from_rays(rays) for rays, _ in blocked_rays(self._P, self._FA, self._FB, self._angles)]
         self._node_wedges = self._viable_wedges(self._P, wedges)
@@ -288,18 +290,12 @@ class PreparedScene:
 
     # -- static structure --------------------------------------------------
 
-    def _closure_mask(self, pts: np.ndarray) -> np.ndarray:
-        """Which of the points lie in the domain closure, as :func:`geom.contains`
-        decides: inside, or within EPS_GEOM of a wall or slit of the domain
-        (obstacle segments lie in the closure, so they decide nothing)."""
-        FA, FB, _, outer, holes = self._domain
-        on_b, inside = _batch.closure_parts(pts, outer, holes, FA, FB, EPS_GEOM)
-        return on_b | inside
-
     def _region_mask(self, pts: np.ndarray) -> np.ndarray:
-        """Which of the points may lie on a path: inside the domain closure
-        and not strictly inside the floor polygon."""
-        ok = np.ones(len(pts), dtype=bool) if self._domain is None else self._closure_mask(pts)
+        """Which of the points may lie on a path: in the domain closure, as
+        :func:`geom.contains` decides (obstacle segments lie in the closure,
+        so they decide nothing), and not strictly inside the floor polygon."""
+        domain = self.scene.boundary
+        ok = np.ones(len(pts), dtype=bool) if domain is None else np.logical_or(*closure_masks(domain, pts))
         if self.floor is not None:
             fa, fb = self._FA[self._floor_edges], self._FB[self._floor_edges]
             on_floor, in_floor = _batch.closure_parts(pts, fa, (), fa, fb, EPS_GEOM)
@@ -388,26 +384,6 @@ class PreparedScene:
         own = (2 * (D == 0.0) + near).argmax(axis=1)
         return np.where(near.any(axis=1), own, -1)
 
-    def _terminal_wedges(
-        self, p: Point2, rays: list[float], host: int | None, hint: str | None, label: str
-    ) -> tuple[list[tuple[float, float]], bool]:
-        """The wedges of an off-node terminal, and whether all of them open
-        into the region: a hint may choose a side outside it, and a point
-        with no side in the region keeps all its wedges."""
-        wedges = wedges_from_rays(rays)
-        if host is None:
-            return wedges, True
-        wedges = hinted_wedges(wedges, p, hint, self._sides)
-        viable = self._viable_wedges(np.array([p.as_tuple()]), [wedges])[0]
-        if len(viable) == 1:
-            return viable, True
-        if len(viable) == 0:
-            return wedges, False
-        raise MissingHint(
-            f"terminal {label} at ({p.x}, {p.y}) lies on a two-sided wall; "
-            "pass hint='left' or hint='right'"
-        )
-
     # -- queries --------------------------------------------------------------
 
     def shortest_path(
@@ -436,20 +412,27 @@ class PreparedScene:
             return out
         hints = [None] * k if hints is None else hints
         n = self._n
-        T = np.array([t.as_tuple() for t in points])
-        inside = [True] * k if self._domain is None else self._closure_mask(T).tolist()
+        T = point_array(points)
+        domain = self.scene.boundary
+        inside = [True] * k if domain is None else np.logical_or(*closure_masks(domain, T)).tolist()
         clear = [True] * k if self.floor is None else self._region_mask(T).tolist()
         # row n + c of the table is point c
         own = np.concatenate([np.arange(n), self._owners(T)])
         owners = own[n:].tolist()
         off = [c for c in range(k) if owners[c] < 0]
         rays = dict(zip(off, blocked_rays(T[off], self._FA, self._FB, self._angles)))
-        node_wedges = self._node_wedges + [[] for _ in range(k)]
+        wedges = [self._node_wedges[v] if v >= 0 else wedges_from_rays(rays[c][0]) for c, v in enumerate(owners)]
+        wedges = hinted_wedges(wedges, T, hints, self._sides)
+        # an off-node point on a feature keeps its sides in the region; one
+        # with no side there, or whose hint chose one outside it, keeps all
+        on = [c for c in off if rays[c][1] is not None]
+        viable = dict(zip(on, self._viable_wedges(T[on], [wedges[c] for c in on]) if on else ()))
+        exposed = {c for c in on if not viable[c]}
+        node_wedges = self._node_wedges + [viable.get(c) or w for c, w in enumerate(wedges)]
         positions = self.base_points + list(points)
         labels = "a" + "b" * (k - 1)
-        exposed: set[int] = set()
         # checks in the order of the pairs: the pair (0, 1) checks both
-        # positions before either point's wedges; a later point c comes with
+        # positions before either point's side; a later point c comes with
         # the pair (0, c)
         for c, v in enumerate(owners):
             for d in (0, 1) if c == 0 else () if c == 1 else (c,):
@@ -459,16 +442,15 @@ class PreparedScene:
                     raise TerminalInsideFloor(
                         f"terminal {labels[d]} lies strictly inside the floor polygon"
                     )
-            if v < 0:
-                wedges, in_region = self._terminal_wedges(points[c], *rays[c], hints[c], labels[c])
-                node_wedges[n + c] = wedges
-                if not in_region:
-                    exposed.add(c)
-            else:
-                T[c], positions[n + c] = self._P[v], self.base_points[v]
-                node_wedges[n + c] = hinted_wedges(
-                    self._node_wedges[v], points[c], hints[c], self._sides
+            if hints[c] not in (None, "left", "right"):
+                raise MissingHint(f"unknown hint {hints[c]!r}; expected 'left' or 'right'")
+            if len(viable.get(c, ())) > 1:
+                raise MissingHint(
+                    f"terminal {labels[c]} at ({points[c].x}, {points[c].y}) lies on a two-sided wall; "
+                    "pass hint='left' or hint='right'"
                 )
+            if v >= 0:
+                T[c], positions[n + c] = self._P[v], self.base_points[v]
 
         Q = np.vstack([self._P, T])
         rows: list[list[int]] = []

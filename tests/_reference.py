@@ -1,8 +1,9 @@
 """Scalar references for the array code of the package: the kernels of
 :mod:`relmetric._batch`, the strips' corner detour ratio, the boundary
-profile's sampling and gap rounds, the shortest-path table with its
-edges rebuilt on every relaxation, and the metric's offset representatives
-built one point and one candidate at a time.
+profile's sampling and gap rounds, the side hint filter and a terminal's
+wedges found one point at a time, the shortest-path table with its edges
+rebuilt on every relaxation, and the metric's offset representatives built
+one point and one candidate at a time.
 
 The package evaluates every predicate with array kernels; these one-at-a-time
 versions are kept for the tests to compare against.  The orientation
@@ -29,7 +30,7 @@ from relmetric.geom import (
     blocked_rays,
     contains,
     domain_arrays,
-    hinted_wedges,
+    point_array,
     wedges_from_rays,
 )
 from relmetric.constructions import Trapezium
@@ -105,6 +106,58 @@ def free_wedges(domain: PlanarDomain, p: Point2) -> list[tuple[float, float]]:
     return wedges_from_rays(blocked_rays(np.array([p.as_tuple()]), *domain_arrays(domain)[:3])[0][0])
 
 
+def hinted_wedges(
+    wedges: list[tuple[float, float]],
+    p: Point2,
+    hint: str | None,
+    sides: Sequence[Segment2],
+) -> list[tuple[float, float]]:
+    """``geom.hinted_wedges`` for one point, with one distance kernel call
+    of its own: the wedges at p on the hinted side of the first two-sided
+    feature in `sides` within EPS_GEOM of p, or all of them.  A hint other
+    than "left" or "right" raises MissingHint only on such a feature."""
+    if hint is None or not sides:
+        return wedges
+    A, B = point_array([s.a for s in sides]), point_array([s.b for s in sides])
+    on = np.flatnonzero(_batch.point_seg_dists(np.array([p.as_tuple()]), A, B)[0] <= EPS_GEOM)
+    if not on.size:
+        return wedges
+    if hint not in ("left", "right"):
+        raise MissingHint(f"unknown hint {hint!r}; expected 'left' or 'right'")
+    wall, side = sides[on[0]], 1.0 if hint == "left" else -1.0
+    d = wall.direction()
+    for end, r in ((wall.a, 1.0), (wall.b, -1.0)):
+        if p.distance_to(end) <= EPS_GEOM:
+            # the ray leaves p along r*d; the hinted side is counterclockwise
+            # of it when side*r > 0, and its wedge then starts at the ray
+            ray, edge = math.atan2(r * d.y, r * d.x), 0.0 if side * r > 0 else 1.0
+            return [w for w in wedges if _in_wedge(ray, (w[0] + edge * w[1], 0.0))] or wedges
+    normal = math.atan2(side * d.x, -side * d.y)
+    return [w for w in wedges if _in_wedge(normal, w)] or wedges
+
+
+def terminal_wedges(
+    engine: PreparedScene, p: Point2, rays: list[float], host: int | None, hint: str | None, label: str
+) -> tuple[list[tuple[float, float]], bool]:
+    """The wedges of an off-node terminal of the engine, found with one
+    hint filter and one region mask of its own, and whether all of them
+    open into the region: a hint may choose a side outside it, and a point
+    with no side in the region keeps all its wedges."""
+    wedges = wedges_from_rays(rays)
+    if host is None:
+        return wedges, True
+    wedges = hinted_wedges(wedges, p, hint, engine._sides)
+    viable = engine._viable_wedges(np.array([p.as_tuple()]), [wedges])[0]
+    if len(viable) == 1:
+        return viable, True
+    if len(viable) == 0:
+        return wedges, False
+    raise MissingHint(
+        f"terminal {label} at ({p.x}, {p.y}) lies on a two-sided wall; "
+        "pass hint='left' or hint='right'"
+    )
+
+
 def representatives(
     domain: PlanarDomain,
     points: Sequence[Point2],
@@ -131,6 +184,8 @@ def _point_representatives(domain, t, hint, offsets):
     n_walls = len(FA) - len(domain.slits)
     if hint is None and host is not None and host >= n_walls:
         raise MissingHint(f"point ({t.x}, {t.y}) lies on a slit; side hint required")
+    if hint not in (None, "left", "right"):
+        raise MissingHint(f"unknown hint {hint!r}; expected 'left' or 'right'")
     wedges = hinted_wedges(wedges_from_rays(rays), t, hint, domain.slits)
 
     def along(theta: float, delta: float) -> Point2 | None:
@@ -303,7 +358,7 @@ def shortest_paths(
     exposed = set()
     for c, v in enumerate(snapped):
         if v is None:
-            wedges, in_region = engine._terminal_wedges(points[c], *rays[c], hints[c], "ab"[c > 0])
+            wedges, in_region = terminal_wedges(engine, points[c], *rays[c], hints[c], "ab"[c > 0])
             node_wedges[n + c] = wedges
             if not in_region:
                 exposed.add(c)

@@ -281,6 +281,13 @@ def test_axioms_need_a_square_matrix():
             check_metric_axioms(bad)
 
 
+def test_axioms_reject_a_non_numeric_array_as_a_list():
+    # the array and the list of the same strings fail with one typed error
+    for bad in (np.array([["a", "b"], ["c", "d"]]), [["a", "b"], ["c", "d"]]):
+        with pytest.raises(SpecInvalid, match=r"^matrix must be a list of equal-length rows of numbers: "):
+            check_metric_axioms(bad)
+
+
 # -- geodesics ----------------------------------------------------------------
 
 

@@ -155,6 +155,10 @@ ON, OUT, IN = P(0.5, 0.5), P(2.0, 2.0), P(0.2, 0.2)
         ([ON, OUT], None, SceneInvalid, "b"),  # b outside is checked before a's hint
         ([IN, ON, OUT], None, MissingHint, "b"),  # b's hint before a later b outside
         ([ON, IN], ["up", None], MissingHint, None),  # unknown hint
+        ([IN, P(0.8, 0.8)], [None, "up"], MissingHint, None),  # unknown hint off every feature
+        ([OUT, IN], [None, "up"], SceneInvalid, "a"),  # a outside before b's unknown hint
+        ([IN, OUT], ["up", None], SceneInvalid, "b"),  # b outside before a's unknown hint
+        ([IN, IN, ON], [None, "up", None], MissingHint, None),  # a middle point's unknown hint first
     ],
 )
 def test_errors_match_the_first_failing_pair(points, hints, kind, label):

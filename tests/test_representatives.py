@@ -144,6 +144,15 @@ def test_distance_matrix_raises_the_first_failing_points_error(points, error):
         distance_matrix(NARROW, points)
 
 
+def test_an_unknown_hint_on_a_wall_point_raises():
+    # no slit passes through the point, so no side is chosen; the hint is an
+    # error all the same, as in the per-point loop
+    got, want = _outcome([OK, BOUNDARY], [None, "up"], SCHEDULES[0], NARROW)
+    assert got == want == "MissingHint: unknown hint 'up'; expected 'left' or 'right'"
+    with pytest.raises(MissingHint, match=r"^unknown hint 'up'"):
+        distance_matrix(NARROW, [OK, BOUNDARY], hints=[None, "up"])
+
+
 def test_distance_matrix_calls_no_contains(monkeypatch):
     def refuse(*args):
         raise AssertionError("contains called")

@@ -137,7 +137,7 @@ def test_floor_confined_scenes_and_exposed_terminals():
     _assert_same(square, points)
     T = np.array([p.as_tuple() for p in points[:4]])
     for p, (rays, host) in zip(points, blocked_rays(T, square._FA, square._FB, square._angles)):
-        assert square._terminal_wedges(p, rays, host, None, "a")[1] is False
+        assert reference.terminal_wedges(square, p, rays, host, None, "a")[1] is False
 
 
 def test_comb():

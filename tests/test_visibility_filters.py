@@ -8,7 +8,8 @@ Every pair must come out equal: reached, length and path vertices.
 
 The engine also tests the wedges of all its nodes with one region mask;
 a reference that masks node by node must find the same wedges, and the
-engine's closure test must classify points as ``geom.contains`` does.
+engine's region mask without a floor must classify points as
+``geom.contains`` does.
 
 Rows are computed for a block of sources at once; each must equal the row
 of its source computed alone, whatever the block budget.  The crossing
@@ -437,9 +438,9 @@ def test_closure_mask_is_contains():
             pts += _near(s, rng, (0.0, 0.5, 1.0, 2.0, -0.5, -1.0, -2.0))
         for w in domain.boundary_features():
             pts += _near(w, rng, (0.0, 0.5, 1.0, 1.2, 1.5, 2.0, 3.0, -0.5, -1.0, -1.2, -1.5, -2.0, -3.0))
-        got = PreparedScene(scene)._closure_mask(point_array(pts)).tolist()
         want = [contains(domain, p) is not Region.EXTERIOR for p in pts]
-        assert got == want
+        # the engine has no floor, so its region is the closure
+        assert PreparedScene(scene)._region_mask(point_array(pts)).tolist() == want
         FA, FB = point_array([s.a for s in scene.segments]), point_array([s.b for s in scene.segments])
         near = (_batch.point_seg_dists(point_array(pts), FA, FB) <= EPS_GEOM).any(axis=1)
         beside_obstacle_outside += int((near & ~np.array(want)).sum())
