@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import SceneInvalid, SpecInvalid, UnreachableError
+from .errors import MissingHint, SceneInvalid, SpecInvalid, UnreachableError
 from . import _batch
 from .geom import (
     EPS_GEOM,
@@ -102,13 +102,17 @@ def _representatives(
     """Each point's interior representatives at each offset, one tuple per
     interior face it borders (see :func:`inward_offsets`), or the point
     itself when interior.  One closure test classifies the points; one that
-    lies outside raises SceneInvalid unless a boundary point before it fails
-    first, so the error is that of the first failing point."""
+    lies outside raises SceneInvalid, and an interior one with a hint other
+    than "left" or "right" MissingHint, unless a boundary point before it
+    fails first, so the error is that of the first failing point."""
     on_b, inside = (m.tolist() for m in closure_masks(domain, point_array(points)))
-    stop = next((i for i, (b, n) in enumerate(zip(on_b, inside)) if not (b or n)), len(points))
+    known = [h in (None, "left", "right") for h in hints]
+    stop = next((i for i, (b, n, k) in enumerate(zip(on_b, inside, known)) if not (b or n and k)), len(points))
     edge = [i for i in range(stop) if on_b[i]]
     served = iter(inward_offsets(domain, [points[i] for i in edge], offsets, [hints[i] for i in edge]))
     if stop < len(points):
+        if inside[stop]:
+            raise MissingHint(f"unknown hint {hints[stop]!r}; expected 'left' or 'right'")
         raise SceneInvalid(f"point ({points[stop].x}, {points[stop].y}) lies outside the domain closure")
     return [next(served) if b else [(t,) * len(offsets)] for t, b in zip(points, on_b)]
 

@@ -1,7 +1,8 @@
 """Shortest paths amid segment obstacles.
 
 :class:`PreparedScene` runs one Dijkstra per source over lazily computed
-visibility rows, settling all of that source's targets.  It splits nodes
+visibility rows, settling all of that source's targets; a target the source
+sees settles at its chord, which no other route can beat.  It splits nodes
 that sit on obstacle junctions into angular wedge copies, and rejects
 candidate edges that pass through another node, so that walls made of
 chained segments are genuinely impassable at their joints while still
@@ -244,7 +245,14 @@ class PreparedScene:
     expansion and kept for the query, and every search of the query runs
     Dijkstra on lists indexed by state.  A search from point i runs to the points j > i and skips the
     others; targets are sinks, settled but never expanded, so a path never
-    passes through another query point.
+    passes through another query point.  A target that an arc of the
+    source reaches goes on the heap at key 0, so it settles next, at its
+    chord: the through-node filter admits that arc only when no base node
+    lies within EPS_GEOM of the chord, so every other route is longer in
+    exact arithmetic, and a detour whose float length rounds below the
+    chord cannot win.  The other targets settle in distance order, and a
+    search whose targets the source all sees stops after the source's own
+    arcs and computes no base row.
 
     Region: the domain closure (the whole plane without a boundary) minus
     the open floor polygon.  Terminals must lie in it: a point outside the
@@ -512,7 +520,9 @@ class PreparedScene:
                     nd = d + step
                     if nd < dist[t]:
                         dist[t], parent[t] = nd, s
-                        heapq.heappush(heap, (nd, t))
+                        # a target the source sees is final at its chord: it
+                        # pops next, before any base node
+                        heapq.heappush(heap, (0.0 if v == src and t >= first[n] else nd, t))
         return out
 
 

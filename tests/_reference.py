@@ -165,8 +165,9 @@ def representatives(
     offsets: Sequence[float],
 ) -> list[list[tuple[Point2, ...]]]:
     """``metric._representatives`` one point at a time: ``contains`` per
-    point, then for a boundary point its rays and wedges, and one closure
-    test and one crossing test per (wedge, offset) candidate."""
+    point (an interior point with a hint other than "left" or "right"
+    raises MissingHint), then for a boundary point its rays and wedges, and
+    one closure test and one crossing test per (wedge, offset) candidate."""
     return [_point_representatives(domain, t, h, offsets) for t, h in zip(points, hints)]
 
 
@@ -175,6 +176,8 @@ def _point_representatives(domain, t, hint, offsets):
     if region is Region.EXTERIOR:
         raise SceneInvalid(f"point ({t.x}, {t.y}) lies outside the domain closure")
     if region is Region.INTERIOR:
+        if hint not in (None, "left", "right"):
+            raise MissingHint(f"unknown hint {hint!r}; expected 'left' or 'right'")
         return [tuple(t for _ in offsets)]
     if min(offsets) <= 0.0:
         raise OffsetFailed("offset distance must be positive")

@@ -117,6 +117,20 @@ def test_slit_point_requires_hint(slit_dom):
         rho(slit_dom, P(1.0, 1.0), P(1.5, 1.0))
 
 
+def test_an_unknown_hint_on_an_interior_point_raises_in_both_evaluators():
+    # both evaluators read the hint the same way wherever the point lies
+    x, y = P(0.5, 0.5), P(0.2, 0.2)
+    with pytest.raises(MissingHint, match=r"^unknown hint 'up'"):
+        closure_distance(UNIT, x, y, hint_x="up")
+    with pytest.raises(MissingHint, match=r"^unknown hint 'up'"):
+        distance_matrix(UNIT, [x, y], hints=["up", None])
+    with pytest.raises(MissingHint, match=r"^unknown hint 'up'"):
+        rho(UNIT, y, x, hint_y="up")
+    # an exterior point before it raises first
+    with pytest.raises(SceneInvalid):
+        distance_matrix(UNIT, [P(2, 2), x], hints=[None, "up"])
+
+
 def test_unhinted_junction_takes_the_nearer_face():
     # x is where the slit meets the left wall: it borders the faces above
     # and below the slit, and the distance is the nearer of the two

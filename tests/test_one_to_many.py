@@ -49,6 +49,10 @@ def _assert_same(engine, points, hints=None):
                 assert got[i][j] is None
             else:
                 assert _key(got[i][j]) == want[(i, j)], (i, j)
+                if got[i][j].reached:
+                    # no path is shorter than the chord between its ends
+                    verts = got[i][j].path.vertices
+                    assert got[i][j].length >= verts[0].distance_to(verts[-1]), (i, j)
     return want
 
 

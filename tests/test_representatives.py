@@ -115,8 +115,8 @@ def test_batched_representatives_fail_as_the_per_point_loop(seed):
 def test_the_first_failing_point_raises_in_every_order():
     # every failure kind at once, in many orders: the batched code fails at
     # a different step for each kind, the loop fails at the first point
-    points = [OK, BOUNDARY, UNDER_SLIT, OUTSIDE, ON_SLIT, P(0.3, 0.005)]
-    hints = [None, None, None, None, None, "up"]
+    points = [OK, BOUNDARY, UNDER_SLIT, OUTSIDE, ON_SLIT, P(0.3, 0.005), P(0.6, 0.6)]
+    hints = [None, None, None, None, None, "up", "up"]
     rng = random.Random(22)
     seen = set()
     for _ in range(60):
@@ -144,13 +144,20 @@ def test_distance_matrix_raises_the_first_failing_points_error(points, error):
         distance_matrix(NARROW, points)
 
 
-def test_an_unknown_hint_on_a_wall_point_raises():
+@pytest.mark.parametrize("point", [BOUNDARY, OK], ids=["wall", "interior"])
+def test_an_unknown_hint_off_every_slit_raises(point):
     # no slit passes through the point, so no side is chosen; the hint is an
     # error all the same, as in the per-point loop
-    got, want = _outcome([OK, BOUNDARY], [None, "up"], SCHEDULES[0], NARROW)
+    got, want = _outcome([OK, point], [None, "up"], SCHEDULES[0], NARROW)
     assert got == want == "MissingHint: unknown hint 'up'; expected 'left' or 'right'"
     with pytest.raises(MissingHint, match=r"^unknown hint 'up'"):
-        distance_matrix(NARROW, [OK, BOUNDARY], hints=[None, "up"])
+        distance_matrix(NARROW, [OK, point], hints=[None, "up"])
+    # at its place in the order: a boundary point before it fails first,
+    # and it fails before a later exterior point
+    got, want = _outcome([UNDER_SLIT, point, OUTSIDE], [None, "up", None], SCHEDULES[0], NARROW)
+    assert got == want and want.startswith("OffsetFailed")
+    got, want = _outcome([point, OUTSIDE], ["up", None], SCHEDULES[0], NARROW)
+    assert got == want and want.startswith("MissingHint")
 
 
 def test_distance_matrix_calls_no_contains(monkeypatch):

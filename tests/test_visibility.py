@@ -11,6 +11,7 @@ from relmetric.errors import (
     TerminalInsideFloor,
 )
 from relmetric.geom import PlanarDomain, Point2, Segment2
+from relmetric.rigidity import boundary_arc_points
 from relmetric.visibility import (
     ObstacleScene,
     PreparedScene,
@@ -60,6 +61,43 @@ def test_visibility_graph_direct_edge():
     assert res.reached
     assert res.length == pytest.approx(1.0, abs=1e-12)
     assert [v.as_tuple() for v in res.path.vertices] == [(0.0, 1.0), (1.0, 1.0)]
+
+
+def _left_normal(p, q):
+    L = p.distance_to(q)
+    return P(-(q.y - p.y) / L, (q.x - p.x) / L)
+
+
+def test_a_seen_target_is_reached_along_its_chord():
+    # the one segment starts at v, 1.1-3e-9 left of the chord p->q and so
+    # just beyond the through-node filter's EPS_GEOM, and runs 0.3 along the
+    # normal: the chord is an arc, and the detour round v, longer in exact
+    # arithmetic, can round below the chord and must not win
+    p, q = P(0.8028549152229671, -0.9388200339328929), P(-0.9491082780130784, 0.08282494558699316)
+    cases = [(p, q, P(-0.5347505840310631, -0.15880482330104587))]
+    rng = random.Random(24)
+    for _ in range(20):
+        p, q = P(rng.uniform(-1, 1), rng.uniform(-1, 1)), P(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        t, h = rng.uniform(0.2, 0.8), rng.uniform(1.1e-9, 3e-9)
+        cases.append((p, q, p + (q - p).scaled(t) + _left_normal(p, q).scaled(h)))
+    for p, q, v in cases:
+        scene = ObstacleScene((Segment2(v, v + _left_normal(p, q).scaled(0.3)),))
+        res = PreparedScene(scene).shortest_path(p, q)
+        assert (res.length, res.path.vertices) == (p.distance_to(q), (p, q))
+
+
+def test_a_search_whose_targets_are_all_seen_computes_no_base_row():
+    # every pair of boundary samples of a convex polygon sees each other,
+    # so each search stops after the source's own arcs
+    domain = PlanarDomain([P(math.cos(k * math.pi / 6), math.sin(k * math.pi / 6)) for k in range(12)])
+    engine = PreparedScene(ObstacleScene.from_domain(domain))
+    table = engine.shortest_paths(boundary_arc_points(domain, 9))
+    assert all(len(r.path.vertices) == 2 for row in table for r in row if r is not None)
+    assert engine._nbrs == {}
+    # a pair hidden behind a segment still expands base nodes
+    engine = PreparedScene(ObstacleScene((seg(0, -1, 0, 1),)))
+    assert len(engine.shortest_path(P(-1, 0), P(1, 0)).path.vertices) == 3
+    assert engine._nbrs
 
 
 def test_terminal_near_node_snaps(slit_square):
