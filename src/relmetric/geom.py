@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import _batch
-from .errors import DomainInvalid, MissingHint, OffsetFailed
+from .errors import DomainInvalid, MissingHint, OffsetFailed, SceneInvalid, SpecInvalid
 
 EPS_GEOM = 1e-9
 ANG_TOL = 1e-9
@@ -113,10 +113,10 @@ class Polyline:
             raise DomainInvalid("polyline needs at least one vertex")
 
     def length(self) -> float:
-        return math.fsum(
-            self.vertices[i].distance_to(self.vertices[i + 1])
-            for i in range(len(self.vertices) - 1)
-        )
+        """The sum of the edges, never below the chord between the ends:
+        edges that each round down can sum below it on a near-straight path."""
+        v = self.vertices
+        return max(math.fsum(map(Point2.distance_to, v, v[1:])), v[0].distance_to(v[-1]))
 
     def cumulative_lengths(self) -> list[float]:
         out = [0.0]
@@ -479,45 +479,55 @@ def inward_offsets(
     deltas: Sequence[float],
     hints: Sequence[Hint | None],
 ) -> list[list[tuple[Point2, ...]]]:
-    """For each boundary point p of points: its interior representatives at
-    each distance in deltas, one tuple per interior face that p borders.
+    """For each point p of points: its interior representatives at each
+    distance in deltas, one tuple per interior face that p borders.  The
+    metric's query points take their representatives here and nowhere else.
 
-    A representative lies on the bisector of a free wedge at p, in the open
-    interior, and its step from p crosses no boundary feature.  Without a
-    hint, each wedge that gives one at every delta is a face (a slit-wall
-    junction borders two).  A point on a slit interior needs a hint, and a
-    hint keeps the wedges :func:`hinted_wedges` gives for the slits.  With
-    a hint, or when no wedge serves every delta, there is one tuple: at each
-    delta, the first wedge that serves it.
+    An interior point is its own representative at every delta.  For a
+    boundary point, a representative lies on the bisector of a free wedge at
+    p, in the open interior, and its step from p crosses no boundary
+    feature.  Without a hint, each wedge that gives one at every delta is a
+    face (a slit-wall junction borders two).  A point on a slit interior
+    needs a hint, and a hint keeps the wedges :func:`hinted_wedges` gives
+    for the slits.  With a hint, or when no wedge serves every delta, there
+    is one tuple: at each delta, the first wedge that serves it.
 
-    One :func:`blocked_rays` call finds the rays of all the points, one
-    :func:`hinted_wedges` call their faces, and one closure test and one
-    crossing test serve every (point, wedge, delta) candidate.  The first
-    point that fails raises its MissingHint (a hint other than "left" or
-    "right", or none on a slit) or OffsetFailed, even when a later point
-    fails at an earlier step.
+    One closure test classifies the points; for the boundary ones, one
+    :func:`blocked_rays` call finds the rays, one :func:`hinted_wedges` call
+    the faces, and one closure test and one crossing test serve every
+    (point, wedge, delta) candidate.  The first point that fails raises its
+    error, even when a later point fails at an earlier step: SceneInvalid
+    outside the closure, MissingHint for a hint other than "left" or
+    "right" or none on a slit, OffsetFailed when a delta finds no room.
     """
+    if len(hints) != len(points):
+        raise SpecInvalid("hints must parallel points")
     if min(deltas) <= 0.0:
         raise OffsetFailed("offset distance must be positive")
     FA, FB, angles = domain_arrays(domain)[:3]
     P = point_array(points)
     n_walls = len(FA) - len(domain.slits)
+    on_b, inside = (m.tolist() for m in closure_masks(domain, P))
     found = blocked_rays(P, FA, FB, angles)
-    wedge_lists = hinted_wedges([wedges_from_rays(rays) for rays, _ in found], P, hints, domain.slits)
+    free = [wedges_from_rays(rays) if b else [] for (rays, _), b in zip(found, on_b)]
+    wedge_lists = hinted_wedges(free, P, hints, domain.slits)
     cands = [(i, d, w[0] + 0.5 * w[1]) for i, ws in enumerate(wedge_lists) for w in ws for d in deltas]
     Q = [Point2(points[i].x + d * math.cos(t), points[i].y + d * math.sin(t)) for i, d, t in cands]
     QA = point_array(Q)
-    on_b, inside = closure_masks(domain, QA)
-    ok = inside & ~on_b
+    q_on_b, q_inside = closure_masks(domain, QA)
+    ok = q_inside & ~q_on_b
     ok[ok] = ~_batch.cross_matrix(P[[i for i, _, _ in cands]][ok], QA[ok], FA, FB, EPS_GEOM).any(axis=1)
     served = iter([q if good else None for q, good in zip(Q, ok.tolist())])
     out = []
-    for p, hint, wedges, (_, host) in zip(points, hints, wedge_lists, found):
+    for p, hint, wedges, (_, host), b, n in zip(points, hints, wedge_lists, found, on_b, inside):
+        if not (b or n):
+            raise SceneInvalid(f"point ({p.x}, {p.y}) lies outside the domain closure")
         if hint is None and host is not None and host >= n_walls:
             raise MissingHint(f"point ({p.x}, {p.y}) lies on a slit; side hint required")
         if hint not in (None, "left", "right"):
             raise MissingHint(f"unknown hint {hint!r}; expected 'left' or 'right'")
-        faces = [tuple(next(served) for _ in deltas) for _ in wedges]
+        # an interior point is its one face, itself at every delta
+        faces = [tuple(next(served) for _ in deltas) for _ in wedges] if b else [(p,) * len(deltas)]
         kept = [f for f in faces if None not in f]
         if hint is not None or not kept:
             # one tuple: at each delta, the first wedge that serves it
@@ -537,8 +547,8 @@ def inward_offset(
     delta: float,
     hint: Hint | None = None,
 ) -> Point2:
-    """The first representative of one boundary point p at one distance
-    delta, as :func:`inward_offsets` gives it."""
+    """The first representative of one point p at one distance delta, as
+    :func:`inward_offsets` gives it."""
     return inward_offsets(domain, [p], (delta,), [hint])[0][0][0]
 
 

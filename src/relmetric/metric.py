@@ -4,6 +4,8 @@ The distance between two points of the closed domain is the limiting length
 of shortest interior paths whose endpoints approach the given points from the
 open interior.  Interior points need no limit; boundary points are offset
 inward by a decreasing schedule of distances and the lengths extrapolated.
+One pass, :func:`relmetric.geom.inward_offsets`, classifies every query
+point, gives its representatives and raises the first failing point's error.
 For polygonal domains the limit equals the closure shortest-path length with
 junction-aware semantics, which is what :func:`closure_distance` evaluates
 directly; exactness-sensitive checks (geodesic identity, ambient comparison)
@@ -20,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import MissingHint, SceneInvalid, SpecInvalid, UnreachableError
+from .errors import SpecInvalid, UnreachableError
 from . import _batch
 from .geom import (
     EPS_GEOM,
@@ -46,14 +48,14 @@ class MetricConfig:
     def __post_init__(self) -> None:
         if not self.offsets:
             raise SpecInvalid("offset schedule must be non-empty")
-        if any(d <= 0 for d in self.offsets):
-            raise SpecInvalid("offsets must be positive")
+        if not all(0 < d < math.inf for d in self.offsets):
+            raise SpecInvalid("offsets must be positive and finite")
         if any(b >= a for a, b in zip(self.offsets, self.offsets[1:])):
             raise SpecInvalid("offsets must be strictly decreasing")
         if self.extrapolation.lower() not in EXTRAPOLATIONS:
             raise SpecInvalid(f"unknown extrapolation {self.extrapolation!r}")
-        if self.tol_metric <= 0:
-            raise SpecInvalid("tol_metric must be positive")
+        if not 0 < self.tol_metric < math.inf:
+            raise SpecInvalid("tol_metric must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -93,43 +95,15 @@ def closure_distance(
     return _engine(domain).shortest_path(x, y, hint_a=hint_x, hint_b=hint_y)
 
 
-def _representatives(
-    domain: PlanarDomain,
-    points: Sequence[Point2],
-    hints: Sequence[str | None],
-    offsets: Sequence[float],
-) -> list[list[tuple[Point2, ...]]]:
-    """Each point's interior representatives at each offset, one tuple per
-    interior face it borders (see :func:`inward_offsets`), or the point
-    itself when interior.  One closure test classifies the points; one that
-    lies outside raises SceneInvalid, and an interior one with a hint other
-    than "left" or "right" MissingHint, unless a boundary point before it
-    fails first, so the error is that of the first failing point."""
-    on_b, inside = (m.tolist() for m in closure_masks(domain, point_array(points)))
-    known = [h in (None, "left", "right") for h in hints]
-    stop = next((i for i, (b, n, k) in enumerate(zip(on_b, inside, known)) if not (b or n and k)), len(points))
-    edge = [i for i in range(stop) if on_b[i]]
-    served = iter(inward_offsets(domain, [points[i] for i in edge], offsets, [hints[i] for i in edge]))
-    if stop < len(points):
-        if inside[stop]:
-            raise MissingHint(f"unknown hint {hints[stop]!r}; expected 'left' or 'right'")
-        raise SceneInvalid(f"point ({points[stop].x}, {points[stop].y}) lies outside the domain closure")
-    return [next(served) if b else [(t,) * len(offsets)] for t, b in zip(points, on_b)]
-
-
 def _extrapolate(lengths: Sequence[float], cfg: MetricConfig) -> float:
-    finite = [v for v in lengths if not math.isinf(v)]
-    if not finite:
-        return math.inf
-    if len(finite) < len(lengths):
-        # mixed reachability across offsets: trust the smallest offset
+    if any(math.isinf(v) for v in lengths) or cfg.extrapolation.lower() != "richardson" or len(lengths) < 2:
+        # last-value, one offset, or some offset unreached: the smallest
+        # offset's value (inf when none is reached)
         return lengths[-1]
-    if cfg.extrapolation.lower() == "richardson" and len(lengths) >= 2:
-        d_prev, d_last = cfg.offsets[-2], cfg.offsets[-1]
-        v_prev, v_last = lengths[-2], lengths[-1]
-        # linear-in-delta model; clamp because a distance cannot go negative
-        return max(0.0, v_last + (v_last - v_prev) * d_last / (d_prev - d_last))
-    return lengths[-1]
+    d_prev, d_last = cfg.offsets[-2], cfg.offsets[-1]
+    v_prev, v_last = lengths[-2], lengths[-1]
+    # linear-in-delta model; clamp because a distance cannot go negative
+    return max(0.0, v_last + (v_last - v_prev) * d_last / (d_prev - d_last))
 
 
 def _converged(lengths: Sequence[float], cfg: MetricConfig) -> bool:
@@ -186,11 +160,7 @@ def distance_matrix(
     interior faces meet is as near as its nearest face: each pair keeps its
     face pair of smallest value, the first on ties."""
     cfg = cfg or MetricConfig()
-    if hints is None:
-        hints = [None] * len(points)
-    if len(hints) != len(points):
-        raise SpecInvalid("hints must parallel points")
-    reps = _representatives(domain, points, hints, cfg.offsets)
+    reps = inward_offsets(domain, points, cfg.offsets, [None] * len(points) if hints is None else hints)
     keys = dict.fromkeys((i, r) for i, faces in enumerate(reps) for face in faces for r in face)
     index = {key: a for a, key in enumerate(keys)}
     paths = _engine(domain).shortest_paths([r for _, r in keys])
@@ -237,7 +207,10 @@ class MetricAxiomReport:
 
 def check_metric_axioms(matrix, tol: float = 1e-6) -> MetricAxiomReport:
     """Symmetry, identity/nonnegativity and triangle checks on a distance
-    matrix; lists every violating index pair or triple."""
+    matrix; lists every pair or triple that exceeds tol, which must be a
+    finite number >= 0 (a NaN would hide every violation)."""
+    if not 0 <= tol < math.inf:
+        raise SpecInvalid(f"tol must be a finite number >= 0, got {tol!r}")
     M = matrix_values(matrix)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise SpecInvalid(f"matrix must be square, got shape {M.shape}")
@@ -292,7 +265,7 @@ def extract_geodesic(
     cfg = cfg or MetricConfig()
     grid = max(grid, 10)
     d_min = cfg.offsets[-1]
-    reps = _representatives(domain, [x, y], [hint_x, hint_y], (d_min,))
+    reps = inward_offsets(domain, [x, y], (d_min,), [hint_x, hint_y])
     fx, fy = ([face[0] for face in faces] for faces in reps)
     engine = _engine(domain)
     paths = engine.shortest_paths(fx + fy)
@@ -398,8 +371,6 @@ def check_rho_equals_ambient(
     `hints`, if given, parallels `points`.  Uses the closure evaluation, one
     one-to-many search over the points, so convex domains report zero up to
     float rounding rather than offset-schedule error."""
-    if hints is not None and len(hints) != len(points):
-        raise SpecInvalid("hints must parallel points")
     paths = _engine(domain).shortest_paths(points, hints)
     worst = 0.0
     for i, x in enumerate(points):

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _batch
-from .errors import MissingHint, SceneInvalid, TerminalInsideFloor
+from .errors import MissingHint, SceneInvalid, SpecInvalid, TerminalInsideFloor
 from .geom import (
     ANG_TOL,
     EPS_GEOM,
@@ -412,13 +412,16 @@ class PreparedScene:
 
         Each point gets its wedges and one visibility row, against the base
         nodes and all the points.  One search per source i then settles the
-        points j > i.  Errors are those of the pairs taken in order: point 0
-        is terminal a, any later point terminal b."""
+        points j > i.  Hints, if given, must parallel the points (else
+        SpecInvalid, before any other check).  Other errors are those of the
+        pairs taken in order: point 0 is terminal a, any later point b."""
         k = len(points)
+        hints = [None] * k if hints is None else hints
+        if len(hints) != k:
+            raise SpecInvalid("hints must parallel points")
         out: list[list[PathResult | None]] = [[None] * k for _ in range(k)]
         if k < 2:
             return out
-        hints = [None] * k if hints is None else hints
         n = self._n
         T = point_array(points)
         domain = self.scene.boundary

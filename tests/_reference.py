@@ -161,13 +161,14 @@ def terminal_wedges(
 def representatives(
     domain: PlanarDomain,
     points: Sequence[Point2],
-    hints: Sequence[str | None],
     offsets: Sequence[float],
+    hints: Sequence[str | None],
 ) -> list[list[tuple[Point2, ...]]]:
-    """``metric._representatives`` one point at a time: ``contains`` per
-    point (an interior point with a hint other than "left" or "right"
-    raises MissingHint), then for a boundary point its rays and wedges, and
-    one closure test and one crossing test per (wedge, offset) candidate."""
+    """``geom.inward_offsets`` one point at a time: ``contains`` per point
+    (an exterior point raises SceneInvalid; an interior point with a hint
+    other than "left" or "right" raises MissingHint, else is its own
+    representative), then for a boundary point its rays and wedges, and one
+    closure test and one crossing test per (wedge, offset) candidate."""
     return [_point_representatives(domain, t, h, offsets) for t, h in zip(points, hints)]
 
 

@@ -6,7 +6,8 @@ for bit.  Run from the repository root:
 It hashes the reached flags, lengths and path vertices of
 ``PreparedScene.shortest_paths`` on 41 seeded obstacle scenes, a scene with
 two exactly equal routes, 8 seeded slit domains and 2 combs; the estimates
-of ``distance_matrix`` on 6 boundary points of each slit domain; 5
+of ``distance_matrix`` on 6 boundary points, 2 seeded interior points and
+each slit's midpoint with either hint, in each slit domain; 5
 floor-confined routes; and 3 ``boundary_profile`` matrices.  Floats enter
 as their ``repr``, which round-trips, so equal digests mean equal answers.
 The script checks no answer against a reference, and its name keeps it out
@@ -18,7 +19,7 @@ import random
 from test_search_reference import _keys, _mid, _obstacle_points, _random_obstacle_scene
 
 from relmetric.constructions import CombSpec, comb_domain, confined_route, random_slit_domain
-from relmetric.geom import PlanarDomain, Point2, Segment2
+from relmetric.geom import PlanarDomain, Point2, Region, Segment2, contains
 from relmetric.metric import distance_matrix
 from relmetric.rigidity import boundary_arc_points, boundary_profile
 from relmetric.visibility import ObstacleScene, PreparedScene
@@ -48,7 +49,20 @@ def _slit_tables():
             points += [_mid(s), _mid(s), s.a, s.b]
             hints += ["left", "right", None, "right"]
         yield _keys(PreparedScene(ObstacleScene.from_domain(domain)).shortest_paths(points, hints))
-        yield distance_matrix(domain, boundary_arc_points(domain, 6))
+        points = boundary_arc_points(domain, 6) + _interior_points(domain, random.Random(seed), 2)
+        points += [_mid(s) for s in domain.slits for _ in "lr"]
+        hints = [None] * (len(points) - 2 * len(domain.slits)) + ["left", "right"] * len(domain.slits)
+        yield distance_matrix(domain, points, hints=hints)
+
+
+def _interior_points(domain, rng, k):
+    xs, ys = [p.x for p in domain.outer], [p.y for p in domain.outer]
+    out = []
+    while len(out) < k:
+        p = P(rng.uniform(min(xs), max(xs)), rng.uniform(min(ys), max(ys)))
+        if contains(domain, p) is Region.INTERIOR:
+            out.append(p)
+    return out
 
 
 def _comb_tables():

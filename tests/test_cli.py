@@ -391,13 +391,31 @@ def test_malformed_offsets_are_usage_errors(tmp_path, capsys):
     sq = write_scene(tmp_path, "a.json", square_scene())
     commands = (["dist", sq, "sw", "ne"], ["matrix", sq], ["check", "metric", sq])
     for argv in commands:
-        for value in ("abc", "0.1,abc"):
+        for value in ("abc", "0.1,abc", "nan", "inf,0.01", "0.01,nan"):
             capsys.readouterr()
             assert main(argv + ["--offsets", value]) == 1
             out = capsys.readouterr()
             assert out.out == ""
             assert out.err.startswith("error: ") and out.err.count("\n") == 1
             assert "Traceback" not in out.err
+
+
+def test_non_finite_tolerances_and_scene_offsets_are_usage_errors(tmp_path, capsys):
+    # a NaN tolerance would pass any matrix and a NaN offset print a NaN row;
+    # Python's json reads NaN and Infinity in a scene file
+    sq = write_scene(tmp_path, "a.json", square_scene())
+    raw = json.loads(open(sq).read())
+    runs = [["check", "metric", sq, "--tol", tol] for tol in ("nan", "inf", "-1")]
+    for key, value in (("tol_metric", math.nan), ("tol_metric", math.inf), ("offsets", [0.01, math.nan])):
+        path = tmp_path / f"{key}-{value}.json"
+        path.write_text(json.dumps({**raw, "config": {**raw["config"], key: value}}))
+        runs += [["check", "metric", str(path)], ["dist", str(path), "sw", "ne"]]
+    for argv in runs:
+        capsys.readouterr()
+        assert main(argv) == EXIT_SPEC, argv
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: ") and out.err.count("\n") == 1
 
 
 def test_malformed_depths_are_usage_errors(capsys):

@@ -63,6 +63,12 @@ def test_config_defaults():
         {"offsets": (1e-2, 1e-2)},
         {"extrapolation": "quadratic"},
         {"tol_metric": 0.0},
+        # NaN fails every ordered comparison, so "<= 0" never caught it
+        {"offsets": (math.nan,)},
+        {"offsets": (1e-2, math.nan)},
+        {"offsets": (math.inf, 1e-2)},
+        {"tol_metric": math.nan},
+        {"tol_metric": math.inf},
     ],
 )
 def test_config_rejects(kwargs):
@@ -287,6 +293,16 @@ def test_axioms_tolerate_infinities():
     inf = math.inf
     vals = np.array([[0.0, inf], [inf, 0.0]])
     assert check_metric_axioms(vals).ok
+
+
+def test_axioms_need_a_finite_nonnegative_tol():
+    # a violation is an excess over tol: NaN would hide every one
+    bad = [[0, 5, 1], [5, 0, 1], [1, 1, 0]]
+    assert not check_metric_axioms(bad, 1e-6).ok
+    assert check_metric_axioms(bad, 3.0).ok and check_metric_axioms([[0.0]], 0).ok
+    for tol in (math.nan, math.inf, -1e-6):
+        with pytest.raises(SpecInvalid, match=r"^tol must be a finite number >= 0"):
+            check_metric_axioms(bad, tol)
 
 
 def test_axioms_need_a_square_matrix():

@@ -1,6 +1,7 @@
-"""The metric's offset representatives, built for all points at once, equal
-the per-point formulation of ``tests/_reference.py`` bit for bit, and on bad
-input fail with the error of the first failing point, as that loop does."""
+"""The metric's offset representatives, built for all points at once by
+``geom.inward_offsets``, equal the per-point formulation of
+``tests/_reference.py`` bit for bit, and on bad input fail with the error of
+the first failing point, as that loop does."""
 import math
 import random
 import sys
@@ -10,9 +11,9 @@ import pytest
 from _reference import representatives
 from relmetric import geom
 from relmetric.constructions import random_slit_domain
-from relmetric.errors import DomainInvalid, GeometryError, MissingHint, OffsetFailed, SceneInvalid
-from relmetric.geom import PlanarDomain, Point2, Region, Segment2, contains
-from relmetric.metric import _representatives, distance_matrix
+from relmetric.errors import DomainInvalid, GeometryError, MissingHint, OffsetFailed, SceneInvalid, SpecInvalid
+from relmetric.geom import PlanarDomain, Point2, Region, Segment2, contains, inward_offset, inward_offsets
+from relmetric.metric import distance_matrix
 
 P = Point2
 SCHEDULES = [(1e-2, 1e-3, 1e-4), (1e-3,)]
@@ -25,9 +26,9 @@ def _outcome(points, hints, offsets, domain):
     """repr of the representatives (which tells floats apart bit for bit),
     or the error type and message, of the batched and the per-point code."""
     out = []
-    for build in (_representatives, representatives):
+    for build in (inward_offsets, representatives):
         try:
-            out.append(repr(build(domain, points, hints, offsets)))
+            out.append(repr(build(domain, points, offsets, hints)))
         except GeometryError as exc:
             out.append(f"{type(exc).__name__}: {exc}")
     return out
@@ -89,7 +90,7 @@ def test_batched_representatives_equal_the_per_point_loop(seed):
         assert not want.startswith(("OffsetFailed", "MissingHint", "SceneInvalid"))
         assert got == want
     # the unhinted junction borders the faces on both sides of its slit
-    assert len(_representatives(domain, points, hints, SCHEDULES[0])[-3]) == 2
+    assert len(inward_offsets(domain, points, SCHEDULES[0], hints)[-3]) == 2
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -158,6 +159,35 @@ def test_an_unknown_hint_off_every_slit_raises(point):
     assert got == want and want.startswith("OffsetFailed")
     got, want = _outcome([point, OUTSIDE], ["up", None], SCHEDULES[0], NARROW)
     assert got == want and want.startswith("MissingHint")
+
+
+def test_an_interior_point_is_its_own_representative():
+    # at every offset and with any side hint: it needs no limit
+    for offsets in SCHEDULES:
+        got, want = _outcome([BOUNDARY, OK, P(0.3, 0.3)], [None, None, "left"], offsets, NARROW)
+        assert got == want
+        assert inward_offsets(NARROW, [OK], offsets, ["right"]) == [[(OK,) * len(offsets)]]
+    for hint in (None, "left", "right"):
+        assert inward_offset(NARROW, OK, 1e-3, hint) is OK
+
+
+def test_an_exterior_point_raises_at_its_place_in_the_order():
+    with pytest.raises(SceneInvalid, match=r"^point \(2, 2\) lies outside the domain closure$"):
+        inward_offset(NARROW, OUTSIDE, 1e-3)
+    cases = [([OK, BOUNDARY, OUTSIDE, UNDER_SLIT], "SceneInvalid"), ([UNDER_SLIT, OUTSIDE], "OffsetFailed")]
+    cases += [([OUTSIDE, ON_SLIT], "SceneInvalid"), ([ON_SLIT, OUTSIDE], "MissingHint")]
+    for points, kind in cases:
+        got, want = _outcome(points, [None] * len(points), SCHEDULES[0], NARROW)
+        assert got == want and want.startswith(kind)
+
+
+def test_hints_must_parallel_points():
+    # checked before any point, so a short list cannot drop the later ones
+    points = [BOUNDARY, P(0.5, 1), P(1, 0.5)]
+    for pts, hints in ((points, [None]), (points, [None] * 4), ([OUTSIDE], [])):
+        with pytest.raises(SpecInvalid, match=r"^hints must parallel points$"):
+            inward_offsets(NARROW, pts, SCHEDULES[0], hints)
+    assert len(inward_offsets(NARROW, points, SCHEDULES[0], [None] * 3)) == 3
 
 
 def test_distance_matrix_calls_no_contains(monkeypatch):

@@ -8,6 +8,7 @@ import pytest
 from relmetric.errors import (
     MissingHint,
     SceneInvalid,
+    SpecInvalid,
     TerminalInsideFloor,
 )
 from relmetric.geom import PlanarDomain, Point2, Segment2
@@ -84,6 +85,38 @@ def test_a_seen_target_is_reached_along_its_chord():
         scene = ObstacleScene((Segment2(v, v + _left_normal(p, q).scaled(0.3)),))
         res = PreparedScene(scene).shortest_path(p, q)
         assert (res.length, res.path.vertices) == (p.distance_to(q), (p, q))
+
+
+def test_a_path_is_never_shorter_than_its_chord():
+    # the one segment starts at v, 0.1-0.9e-9 left of the chord p->q and so
+    # within the through-node filter's EPS_GEOM: the chord is no arc and the
+    # path goes round v, whose two edges can each round down and sum to an
+    # ulp below the chord
+    p, q = P(-0.44103526797777937, 0.8326907436171038), P(0.5314509032582835, -0.6807915752839235)
+    v = P(0.2185906218125257, -0.1938864463067992)
+    assert math.fsum((p.distance_to(v), v.distance_to(q))) < p.distance_to(q) == 1.798988071909152
+    cases = [(p, q, v)]
+    rng = random.Random(5)
+    for _ in range(300):
+        p, q = P(rng.uniform(-1, 1), rng.uniform(-1, 1)), P(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        t, h = rng.uniform(0.2, 0.8), rng.uniform(0.1e-9, 0.9e-9)
+        cases.append((p, q, p + (q - p).scaled(t) + _left_normal(p, q).scaled(h)))
+    for p, q, v in cases:
+        scene = ObstacleScene((Segment2(v, v + _left_normal(p, q).scaled(0.3)),))
+        res = PreparedScene(scene).shortest_path(p, q)
+        assert res.path.vertices == (p, v, q)
+        assert res.length == res.path.length() >= p.distance_to(q)
+
+
+def test_hints_must_parallel_points():
+    # too few or too many hints are a typed error, checked before any
+    # other, so an exterior terminal does not mask it
+    engine = PreparedScene(ObstacleScene.from_domain(PlanarDomain(SQ)))
+    points = [P(0, 1), P(1, 1), P(2, 1)]
+    for pts, hints in ((points, [None]), (points, [None] * 4), ([P(5, 5)], [])):
+        with pytest.raises(SpecInvalid, match=r"^hints must parallel points$"):
+            engine.shortest_paths(pts, hints)
+    assert engine.shortest_paths(points, [None] * 3)[0][2].length == 2.0
 
 
 def test_a_search_whose_targets_are_all_seen_computes_no_base_row():
