@@ -3,13 +3,14 @@ scene-wide predicates (segment contacts for validation, closure membership,
 the visibility filters, the feature hits behind blocked rays) and of the
 strips disjointness distances.
 
-The orientation tolerance is absolute on twice the signed area.  Every
-point-segment distance goes through one elementwise kernel, ``_pseg``.  The
+The orientation tolerance is absolute on twice the signed area; predicates
+keep its side as int8.  Every point-segment distance goes through one
+elementwise kernel, ``_pseg``, which reuses its temporaries in place.  The
 crossing kernel broadcasts its segments, so the visibility filter runs it
 on a block of sources against all candidates, then on survivor pairs, in
-doubling feature chunks (nearest first for a lone source).  The scalar
-predicates that tests compare these kernels against live in the test suite
-(``tests/_reference.py``).
+doubling feature chunks (nearest first for a lone source).  Tests compare
+these kernels with scalar predicates and with the float kernels they
+replaced (``tests/_reference.py``).
 """
 from __future__ import annotations
 
@@ -26,9 +27,14 @@ _NODE_BLOCK = 512
 
 
 def _osign(ux, uy, vx, vy, wx, wy, eps: float):
-    val = (vx - ux) * (wy - uy) - (vy - uy) * (wx - ux)
-    s = np.sign(val)
-    return np.where(np.abs(val) <= eps, 0.0, s)
+    """Side of w against the line u->v, elementwise: int8 1 left, -1 right,
+    0 where twice the signed area is within eps."""
+    return _side((vx - ux) * (wy - uy) - (vy - uy) * (wx - ux), eps)
+
+
+def _side(val: np.ndarray, eps: float) -> np.ndarray:
+    """int8 sign of val, 0 within eps and for NaN (an overflowed area)."""
+    return (val > eps).view(np.int8) - (val < -eps).view(np.int8)
 
 
 def _stack4(A, B, C, D):
@@ -47,10 +53,11 @@ def cross_matrix(p: np.ndarray, Q: np.ndarray, FA: np.ndarray, FB: np.ndarray, e
     px, py = p[..., 0, None], p[..., 1, None]
     qx, qy = Q[..., 0, None], Q[..., 1, None]
     ax, ay, bx, by = FA[:, 0], FA[:, 1], FB[:, 0], FB[:, 1]
-    o1 = _osign(px, py, qx, qy, ax, ay, eps)
-    o2 = _osign(px, py, qx, qy, bx, by, eps)
-    o3 = _osign(ax, ay, bx, by, px, py, eps)
-    o4 = _osign(ax, ay, bx, by, qx, qy, eps)
+    dx, dy, fx, fy = qx - px, qy - py, bx - ax, by - ay
+    o1 = _side(dx * (ay - py) - dy * (ax - px), eps)
+    o2 = _side(dx * (by - py) - dy * (bx - px), eps)
+    o3 = _side(fx * (py - ay) - fy * (px - ax), eps)
+    o4 = _side(fx * (qy - ay) - fy * (qx - ax), eps)
     return (o1 * o2 < 0) & (o3 * o4 < 0)
 
 
@@ -76,8 +83,13 @@ def _pseg(P: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     dx, dy = B[..., 0] - A[..., 0], B[..., 1] - A[..., 1]
     den = dx * dx + dy * dy
     den = np.where(den <= 0, 1.0, den)
-    t = np.clip(((P[..., 0] - A[..., 0]) * dx + (P[..., 1] - A[..., 1]) * dy) / den, 0.0, 1.0)
-    return np.hypot(P[..., 0] - (A[..., 0] + t * dx), P[..., 1] - (A[..., 1] + t * dy))
+    # not divided in place: integer coordinates give an integer numerator
+    t = ((P[..., 0] - A[..., 0]) * dx + (P[..., 1] - A[..., 1]) * dy) / den
+    np.minimum(np.maximum(t, 0.0, out=t), 1.0, out=t)
+    x = A[..., 0] + t * dx
+    t *= dy
+    t += A[..., 1]
+    return np.hypot(np.subtract(P[..., 0], x, out=x), np.subtract(P[..., 1], t, out=t), out=t)
 
 
 def seg_pair_dists(A1: np.ndarray, B1: np.ndarray, A2: np.ndarray, B2: np.ndarray) -> np.ndarray:

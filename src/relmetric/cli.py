@@ -143,6 +143,16 @@ def _cfg_from(scene: Scene, args) -> MetricConfig:
     return dataclasses.replace(scene.config, **updates) if updates else scene.config
 
 
+def _limit(flag: str, top: float = math.inf):
+    """argparse type of a tolerance or threshold flag: a number in [0, top),
+    so that NaN or infinity is a usage error, not a verdict."""
+    def number(text: str) -> float:
+        if not 0.0 <= (value := float(text)) < top:
+            raise SpecInvalid(f"{flag} must be a number in [0, {top:g}), got {text}")
+        return value
+    return number
+
+
 def _name_list(text: str) -> list[str]:
     return [n for n in text.split(",") if n]
 
@@ -489,23 +499,22 @@ def _repro_strips(args) -> int:
 def cmd_compare(args) -> int:
     domain_a = _domain_of(load_scene(args.scene_a), "compare")
     domain_b = _domain_of(load_scene(args.scene_b), "compare")
-    tol = args.tol if args.tol is not None else 1e-9
     prof_a = boundary_profile(domain_a, args.samples)
     prof_b = boundary_profile(domain_b, args.samples)
     align = compare_profiles(prof_a, prof_b)
     _say("samples", args.samples)
     _say("alignment shift", align.shift, "reflected", align.reflected)
     _say("profile_residual", align.residual)
-    isometric = align.residual <= tol
+    isometric = align.residual <= args.tol
     _say("isometric", isometric)
     congruent = False
     if isometric:
-        cong = euclidean_congruence(prof_a, prof_b, align, tol)
+        cong = euclidean_congruence(prof_a, prof_b, align, args.tol)
         congruent = cong.congruent
         _say("congruence_gap", cong.max_gap)
         _say("congruent", congruent)
     if args.eta is not None:
-        rep = transfer_from_profiles(domain_a, domain_b, prof_a, prof_b, args.eta, tol)
+        rep = transfer_from_profiles(domain_a, domain_b, prof_a, prof_b, args.eta, args.tol)
         _say("transfer applicable", rep.applicable)
         _say("transfer agrees", rep.agrees)
         _say("transfer falsification_candidate", rep.falsification_candidate)
@@ -584,13 +593,13 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("check", help="metric and convexity property checks")
     c.add_argument("what", choices=list(_CHECKS))
     c.add_argument("scene")
-    c.add_argument("--tol", type=float, default=None)
+    c.add_argument("--tol", type=_limit("--tol"), default=None)
     c.add_argument("--points", type=_name_list, help="comma-separated point names (default: all)")
     c.add_argument("--samples", type=int, default=12)
     c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--eta", type=float, default=0.05)
+    c.add_argument("--eta", type=_limit("--eta"), default=0.05)
     c.add_argument("--grid", type=int, default=12)
-    c.add_argument("--one-sided-tol", type=float, default=1e-9, dest="one_sided_tol")
+    c.add_argument("--one-sided-tol", type=_limit("--one-sided-tol"), default=1e-9, dest="one_sided_tol")
     c.add_argument("--p", default=None)
     c.add_argument("--q", default=None)
     add_cfg(c)
@@ -602,13 +611,13 @@ def build_parser() -> argparse.ArgumentParser:
     r_lab.set_defaults(func=_repro_labyrinth)
     r_lab.add_argument("--radius", type=float, default=1.0)
     r_lab.add_argument("--pitch", type=float, default=1e-3)
-    r_lab.add_argument("--threshold", type=float, default=10.0)
+    r_lab.add_argument("--threshold", type=_limit("--threshold"), default=10.0)
     r_lab.add_argument("--m-max", type=int, default=16, dest="m_max")
     add_samples_per_coil(r_lab, 64)
     r_bound = rs.add_parser("bound", help="confined length bound for the family")
     r_bound.set_defaults(func=_repro_bound)
     r_bound.add_argument("--levels", type=int, default=2)
-    r_bound.add_argument("--tol-floor", type=float, default=0.01, dest="tol_floor")
+    r_bound.add_argument("--tol-floor", type=_limit("--tol-floor", 1.0), default=0.01, dest="tol_floor")
     r_defect = rs.add_parser("defect", help="triangle inequality defect chain")
     r_defect.set_defaults(func=_repro_defect)
     r_defect.add_argument("--levels", type=int, default=2)
@@ -631,8 +640,8 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("scene_a")
     cp.add_argument("scene_b")
     cp.add_argument("--samples", type=int, default=12)
-    cp.add_argument("--tol", type=float, default=None)
-    cp.add_argument("--eta", type=float, default=None,
+    cp.add_argument("--tol", type=_limit("--tol"), default=1e-9)
+    cp.add_argument("--eta", type=_limit("--eta"), default=None,
                     help="also run the convexity transfer test at this eta")
     cp.add_argument("--csv", help="write the first profile matrix here")
     cp.add_argument("--svg", help="overlay figure of aligned samples")
@@ -642,9 +651,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except UnreachableError as exc:
         print(f"unreachable: {exc}", file=sys.stderr)

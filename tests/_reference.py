@@ -1,5 +1,6 @@
 """Scalar references for the array code of the package: the kernels of
-:mod:`relmetric._batch`, the strips' corner detour ratio, the boundary
+:mod:`relmetric._batch` (and its earlier float kernels, which the current
+ones must match bit for bit), the strips' corner detour ratio, the boundary
 profile's sampling and gap rounds, the side hint filter and a terminal's
 wedges found one point at a time, the shortest-path table with its edges
 rebuilt on every relaxation, and the metric's offset representatives built
@@ -87,6 +88,37 @@ def segment_segment_distance(s: Segment2, t: Segment2, eps: float = EPS_GEOM) ->
         point_segment_distance(t.a, s.a, s.b),
         point_segment_distance(t.b, s.a, s.b),
     )
+
+
+# The float kernels of relmetric._batch, verbatim, from before its orientation
+# predicates kept only int8 sides and ``_pseg`` reused its temporaries in
+# place.  The package's kernels must give the same bits; the float sides
+# differ only in reading a NaN orientation as NaN, where the int8 ones read 0.
+
+
+def float_osign(ux, uy, vx, vy, wx, wy, eps: float):
+    val = (vx - ux) * (wy - uy) - (vy - uy) * (wx - ux)
+    s = np.sign(val)
+    return np.where(np.abs(val) <= eps, 0.0, s)
+
+
+def float_cross_matrix(p: np.ndarray, Q: np.ndarray, FA: np.ndarray, FB: np.ndarray, eps: float) -> np.ndarray:
+    px, py = p[..., 0, None], p[..., 1, None]
+    qx, qy = Q[..., 0, None], Q[..., 1, None]
+    ax, ay, bx, by = FA[:, 0], FA[:, 1], FB[:, 0], FB[:, 1]
+    o1 = float_osign(px, py, qx, qy, ax, ay, eps)
+    o2 = float_osign(px, py, qx, qy, bx, by, eps)
+    o3 = float_osign(ax, ay, bx, by, px, py, eps)
+    o4 = float_osign(ax, ay, bx, by, qx, qy, eps)
+    return (o1 * o2 < 0) & (o3 * o4 < 0)
+
+
+def float_pseg(P: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    dx, dy = B[..., 0] - A[..., 0], B[..., 1] - A[..., 1]
+    den = dx * dx + dy * dy
+    den = np.where(den <= 0, 1.0, den)
+    t = np.clip(((P[..., 0] - A[..., 0]) * dx + (P[..., 1] - A[..., 1]) * dy) / den, 0.0, 1.0)
+    return np.hypot(P[..., 0] - (A[..., 0] + t * dx), P[..., 1] - (A[..., 1] + t * dy))
 
 
 def polygon_signed_area(vertices: Sequence[Point2]) -> float:

@@ -1,7 +1,10 @@
 """One sha256 over search results, to compare two versions of the engine bit
 for bit.  Run from the repository root:
 
-    PYTHONPATH=src python tests/bit_identity.py
+    PYTHONPATH=src python tests/bit_identity.py [EXPECTED]
+
+It prints the digest, one line.  Given an expected digest that differs, it
+prints both and exits 1.
 
 It hashes the reached flags, lengths and path vertices of
 ``PreparedScene.shortest_paths`` on 41 seeded obstacle scenes, a scene with
@@ -15,6 +18,7 @@ of pytest's collection."""
 import hashlib
 import math
 import random
+import sys
 
 from test_search_reference import _keys, _mid, _obstacle_points, _random_obstacle_scene
 
@@ -92,4 +96,7 @@ def digest() -> str:
 
 
 if __name__ == "__main__":
-    print(digest())
+    got = digest()
+    want = sys.argv[1] if len(sys.argv) > 1 else got
+    print(got if got == want else f"expected {want}\ngot      {got}")
+    sys.exit(got != want)

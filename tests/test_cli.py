@@ -1,10 +1,11 @@
 """Scene files and the command line driver, run in process."""
+import argparse
 import json
 import math
 
 import pytest
 
-from relmetric.cli import EXIT_SPEC, main
+from relmetric.cli import EXIT_SPEC, build_parser, main
 from relmetric.errors import SceneInvalid
 from relmetric.geom import PlanarDomain, Point2, Segment2
 from relmetric.sceneio import (
@@ -416,6 +417,49 @@ def test_non_finite_tolerances_and_scene_offsets_are_usage_errors(tmp_path, caps
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err.startswith("error: ") and out.err.count("\n") == 1
+
+
+def _float_flags(parser, path=()):
+    """(subcommand path, flag) of every option that reads '0.5' as a float."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _float_flags(sub, path + (name,))
+        elif action.option_strings and action.type is not None:
+            try:
+                if isinstance(action.type("0.5"), float):
+                    yield path, action.option_strings[0]
+            except (TypeError, ValueError):
+                pass
+
+
+def test_every_float_flag_rejects_nan_inf_and_negatives(tmp_path, capsys):
+    # a NaN tolerance failed every verdict and an infinite one passed it
+    sq = write_scene(tmp_path, "a.json", square_scene())
+    commands = {
+        ("gen", "comb"): [["gen", "comb"]],
+        ("gen", "spiral"): [["gen", "spiral"]],
+        ("check",): [["check", what, sq] for what in ("metric", "geodesic", "convexity", "circ", "ambient")],
+        ("repro", "labyrinth"): [["repro", "labyrinth"]],
+        ("repro", "bound"): [["repro", "bound"]],
+        ("compare",): [["compare", sq, sq]],
+    }
+    flags = list(_float_flags(build_parser()))
+    assert {path for path, _ in flags} == set(commands)
+    for path, flag in flags:
+        for argv in commands[path]:
+            for value in ("nan", "inf", "-1"):
+                capsys.readouterr()
+                assert main(argv + [flag, value]) == EXIT_SPEC, (argv, flag, value)
+                out = capsys.readouterr()
+                assert out.out == ""
+                assert out.err.startswith("error: ") and out.err.count("\n") == 1
+
+
+def test_tol_floor_is_below_one(capsys):
+    for value in ("1", "2.5"):
+        assert main(["repro", "bound", "--tol-floor", value]) == EXIT_SPEC
+        assert capsys.readouterr().err == f"error: --tol-floor must be a number in [0, 1), got {value}\n"
 
 
 def test_malformed_depths_are_usage_errors(capsys):
